@@ -6,7 +6,7 @@
 //! The TCP server calls [`execute_query`] from its worker pool.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sd_core::{Error, ObjSet, Phi, Query, QueryEvent, QueryReport, Sink};
 use sd_lang::lower_phi;
@@ -113,13 +113,14 @@ fn build_query(
 /// a worker forever.
 ///
 /// `trace` attributes the stage costs to request phases: query
-/// construction (φ lowering, name resolution) is `compile`, the
-/// fingerprint probe is `cache`, the pair search is `search`, and
-/// answer encoding is `serialize`. Any fresh successor-table compile
-/// triggered inside `Query::run` lands in `search` here; the dedicated
-/// compile accounting for it comes from the telemetry stream
-/// (`CompileFinish.wall_ns`) instead, which is why `QueryReport.wall_ns`
-/// excluding compile time no longer loses information at the server.
+/// construction (φ lowering, name resolution) is `compile`; the
+/// fingerprint, the cache probe and its hit/miss event are `cache`; the
+/// pair search is `search`; and answer encoding is `serialize`. Any fresh
+/// successor-table compile triggered inside `Query::run` lands in
+/// `search` here; the dedicated compile accounting for it comes from
+/// the telemetry stream (`CompileFinish.wall_ns`) instead, which is why
+/// `QueryReport.wall_ns` excluding compile time no longer loses
+/// information at the server.
 pub fn execute_query(
     entry: &SystemEntry,
     cache: &ResultCache,
@@ -128,25 +129,32 @@ pub fn execute_query(
     max_timeout: Duration,
     trace: &mut RequestTrace,
 ) -> Result<ExecOutcome, WireError> {
-    let q = trace.time(Phase::Compile, || build_query(entry, req, max_timeout))?;
+    let t = Instant::now();
+    let q = build_query(entry, req, max_timeout);
+    // The cache phase starts on the clock read that ends this one.
+    let t = trace.lap(Phase::Compile, t);
+    let q = q?;
+    let cache_key = |fp: u64| (u128::from(entry.key) << 64) | u128::from(fp);
     let fingerprint = q.fingerprint();
-    if let Some(fp) = fingerprint {
-        let key = (u128::from(entry.key) << 64) | u128::from(fp);
-        if let Some(answer) = trace.time(Phase::Cache, || cache.get(key)) {
-            if let Some(s) = sink {
-                s.record(&QueryEvent::ResultCacheHit { key: fp });
-            }
-            return Ok(ExecOutcome {
-                answer,
-                cached: true,
-                fingerprint,
-                report: None,
-            });
-        }
-        if let Some(s) = sink {
-            s.record(&QueryEvent::ResultCacheMiss { key: fp });
-        }
+    let hit = fingerprint.and_then(|fp| cache.get(cache_key(fp)));
+    if let (Some(fp), Some(s)) = (fingerprint, sink) {
+        s.record(&match hit {
+            Some(_) => QueryEvent::ResultCacheHit { key: fp },
+            None => QueryEvent::ResultCacheMiss { key: fp },
+        });
     }
+    if let Some(answer) = hit {
+        // Releasing the unused query is part of answering from cache.
+        drop(q);
+        trace.lap(Phase::Cache, t);
+        return Ok(ExecOutcome {
+            answer,
+            cached: true,
+            fingerprint,
+            report: None,
+        });
+    }
+    trace.lap(Phase::Cache, t);
     let outcome = trace
         .time(Phase::Search, || q.run(&entry.oracle))
         .map_err(core_error)?;
@@ -154,8 +162,9 @@ pub fn execute_query(
         Arc::from(proto::encode_answer(entry.system, &outcome))
     });
     if let Some(fp) = fingerprint {
-        let key = (u128::from(entry.key) << 64) | u128::from(fp);
-        trace.time(Phase::Cache, || cache.insert(key, Arc::clone(&answer)));
+        trace.time(Phase::Cache, || {
+            cache.insert(cache_key(fp), Arc::clone(&answer))
+        });
     }
     Ok(ExecOutcome {
         answer,

@@ -240,6 +240,15 @@ impl RequestTrace {
         out
     }
 
+    /// Attributes the time since `since` to `phase` and returns the
+    /// clock read that ended it, so back-to-back phases share a read.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase, since: Instant) -> Instant {
+        let now = Instant::now();
+        self.add(phase, (now - since).as_nanos() as u64);
+        now
+    }
+
     /// Adds externally measured nanoseconds to `phase`.
     #[inline]
     pub fn add(&mut self, phase: Phase, ns: u64) {

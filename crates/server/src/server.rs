@@ -4,8 +4,11 @@
 //!
 //! # Threading model
 //!
-//! - One **accept thread** polls a non-blocking listener and spawns a
-//!   thread per connection (connections are cheap: they block on reads).
+//! - One **accept thread** blocks in `accept` and spawns a thread per
+//!   connection (connections are cheap: they block on reads). It never
+//!   polls: a new connection is served as soon as the kernel hands it
+//!   over, and only a real accept error (such as `EMFILE`) backs off
+//!   briefly so it cannot spin.
 //! - Each **connection thread** reads bounded JSON lines, answers
 //!   control methods (`ping`, `register`, `stats`, `metrics`,
 //!   `slowlog`, `shutdown`) inline, and submits query work to a bounded
@@ -37,12 +40,18 @@
 //! `shutdown` (request or [`ServeHandle::shutdown`]) flips a flag and
 //! closes the job queue's sender side. Workers finish every job already
 //! admitted (the drain), then exit; new queries are refused with
-//! `shutting_down`; the accept thread stops on its next poll. In-flight
-//! requests therefore complete normally while the server drains — the
-//! robustness property the e2e tests pin.
+//! `shutting_down`. In-flight requests therefore complete normally
+//! while the server drains — the robustness property the e2e tests pin.
+//!
+//! The blocked accept thread is woken by a connection to the listener's
+//! own address (loopback when bound to a wildcard address); it checks
+//! the flag after every accept and drops that connection. A `shutdown`
+//! request writes its reply *before* the wake: once the accept thread
+//! exits, [`ServeHandle::wait`] returns and `sdserved` exits, so waking
+//! first could end the process before the reply leaves.
 
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -127,6 +136,8 @@ pub struct ServerStats {
 }
 
 struct Shared {
+    /// The listener's bound address, which the shutdown wake dials.
+    addr: SocketAddr,
     registry: Registry,
     cache: ResultCache,
     sink: Option<Arc<dyn Sink>>,
@@ -195,6 +206,21 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         // Closing the sender lets workers drain the queue and exit.
         self.jobs.lock().expect("jobs lock").take();
+    }
+
+    /// Unblocks the accept thread after [`Shared::begin_shutdown`] by
+    /// connecting to the listener. A wildcard bind is dialled on the
+    /// loopback address of its family. Once the accept thread has gone
+    /// the connect is refused, which is harmless.
+    fn wake_accept(&self) {
+        let mut to = self.addr;
+        if to.ip().is_unspecified() {
+            to.set_ip(match to.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&to, Duration::from_secs(1));
     }
 
     fn scrape_gauges(&self) -> ScrapeGauges {
@@ -276,7 +302,6 @@ impl ServeHandle {
     /// immediately.
     pub fn spawn(cfg: Config) -> std::io::Result<ServeHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_depth.max(1));
         let metrics = Arc::new(ServerMetrics::new(
@@ -293,6 +318,7 @@ impl ServeHandle {
         };
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
+            addr,
             registry: Registry::new(cfg.registry_cap, cfg.budget, sink.clone()),
             cache: ResultCache::new(cfg.cache_cap),
             sink,
@@ -356,6 +382,7 @@ impl ServeHandle {
     /// their clients disconnect or issue their next request.
     pub fn shutdown(mut self) {
         self.shared.begin_shutdown();
+        self.shared.wake_accept();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -392,10 +419,13 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<Job>>>, shared: &Arc<Shared>) {
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
+        // Checked after every accept: the shutdown wake is a connection
+        // (dropped here), as is any client racing the shutdown.
         if shared.shutting_down() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 // One request-response per round trip: Nagle + delayed
                 // ACK would add ~40ms to every reply.
@@ -408,9 +438,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     shared.connections_open.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // A failing accept (EMFILE, ENOBUFS…) fails again at once:
+            // back off so it cannot become a hot loop.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -579,7 +608,7 @@ fn handle_register(
         return Done::err(Method::Register, id, &err);
     }
     // Registration *is* the compile phase: a fresh description parses
-    // and compiles under the registry lock.
+    // and compiles here, outside the registry's map lock.
     match trace.time(Phase::Compile, || shared.registry.register(desc)) {
         Ok((entry, fresh)) => {
             let response = trace.time(Phase::Serialize, || register_response(id, &entry, fresh));
@@ -727,6 +756,11 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
         // cover the full request. A scrape therefore does not count
         // itself — the mix a test issues is exactly what it reads back.
         shared.observe_and_log(id, &done, &trace);
+        if done.method == Method::Shutdown {
+            // Only now that the reply is written may the accept thread
+            // stop (see the module docs on shutdown ordering).
+            shared.wake_accept();
+        }
         wres?;
     }
 }
