@@ -5,6 +5,8 @@
 //! with |Σ| · |Δ|, while the exact search explores pairs of states.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sd_core::depend::{strongly_depends_after_with, SatPartition};
+use sd_core::history::histories_up_to;
 use sd_core::{examples, ObjId, ObjSet, Phi};
 
 fn chain_setup(n: usize) -> (sd_core::System, Phi, ObjId, ObjId) {
@@ -46,15 +48,19 @@ fn bench_induction_vs_exact(c: &mut Criterion) {
             b.iter(|| exact_query.run_on(sys).expect("oracle succeeds"))
         });
         // Ablation: the naive pre-pair-BFS approach — enumerate every
-        // history up to a bound and run the per-history check. Exponential
-        // in the bound, and still only *bounded*; measured for the small
-        // instance only (it is already orders of magnitude slower).
+        // history up to a bound and run the per-history check (Def 2-7)
+        // against one Sat(φ) partition. Exponential in the bound, and
+        // still only *bounded*; measured for the small instance only (it
+        // is already orders of magnitude slower).
         if n == 3 {
-            let bounded_query = sd_core::Query::new(phi.clone(), ObjSet::singleton(alpha))
-                .beta(beta)
-                .bounded(2);
+            let src = ObjSet::singleton(alpha);
             g.bench_with_input(BenchmarkId::new("bounded_enum_len2", n), &sys, |b, sys| {
-                b.iter(|| bounded_query.run_on(sys).expect("bounded search succeeds"))
+                b.iter(|| {
+                    let part = SatPartition::new(sys, &phi, &src).expect("Sat(φ) enumerates");
+                    histories_up_to(sys.num_ops(), 2).find_map(|h| {
+                        strongly_depends_after_with(sys, &part, beta, &h).expect("histories replay")
+                    })
+                })
             });
         }
     }

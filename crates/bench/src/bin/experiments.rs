@@ -96,8 +96,9 @@ fn telemetry_log(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 
     let u = sys.universe();
     let sources: Vec<ObjSet> = u.objects().map(ObjSet::singleton).collect();
-    let cold = oracle.sinks_matrix(&Phi::True, &sources)?;
-    let warm = oracle.sinks_matrix(&Phi::True, &sources)?;
+    let matrix = Query::matrix(Phi::True, sources);
+    let cold = matrix.run(&oracle)?.into_rows();
+    let warm = matrix.run(&oracle)?.into_rows();
     assert_eq!(cold, warm, "warm sweep must agree with the cold one");
 
     let alpha = u.obj("alpha")?;
@@ -1018,7 +1019,7 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
         cases.push((format!("pointer-chain n={n} d={d}"), sys, phi, "o0", "last"));
     }
 
-    // Wall time for one `depends_with_stats` call: median of `reps`
+    // Wall time for one β-target query: median of `reps`
     // runs, where `reps` adapts so fast cases are measured stably and
     // slow ones are not run to death.
     let time_one = |sys: &sd_core::System,
@@ -1027,25 +1028,23 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
                     beta: sd_core::ObjId,
                     engine: Engine,
                     budget: &CompileBudget|
-     -> Result<(f64, sd_core::SearchStats, bool), sd_core::Error> {
+     -> Result<(f64, sd_core::QueryReport, bool), sd_core::Error> {
         let mut samples = Vec::new();
-        let (stats, witness) = loop {
+        let (report, witness) = loop {
             let t = Instant::now();
             let out = sd_core::Query::new(phi.clone(), a.clone())
                 .beta(beta)
                 .engine(engine)
                 .budget(*budget)
                 .run_on(sys)?;
-            let s = out.stats.expect("exact queries carry stats");
-            let w = out.into_witness();
             samples.push(t.elapsed().as_secs_f64() * 1e3);
             let done = samples.len() >= 5 || (samples.len() >= 2 && samples[0] > 200.0);
             if done {
-                break (s, w.is_some());
+                break (out.report, out.holds());
             }
         };
         samples.sort_by(|a, b| a.total_cmp(b));
-        Ok((samples[samples.len() / 2], stats, witness))
+        Ok((samples[samples.len() / 2], report, witness))
     };
 
     let mut t = Table::new(&[
@@ -1066,7 +1065,7 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
         let ops = sys.num_ops();
         let mut interp_ms = None;
         for engine in [Engine::Interpreted, Engine::Auto] {
-            let (ms, stats, witness) = time_one(sys, phi, &a, beta, engine, &budget)?;
+            let (ms, report, witness) = time_one(sys, phi, &a, beta, engine, &budget)?;
             let speedup = match (engine, interp_ms) {
                 (Engine::Interpreted, _) => {
                     interp_ms = Some(ms);
@@ -1079,8 +1078,8 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
                 name.clone(),
                 states.to_string(),
                 ops.to_string(),
-                stats.engine.into(),
-                stats.visited_pairs.to_string(),
+                report.engine.into(),
+                report.visited_pairs.to_string(),
                 format!("{ms:.3}"),
                 speedup,
             ]);
@@ -1090,7 +1089,7 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
                     "\"engine\": {:?}, \"visited_pairs\": {}, \"levels\": {}, ",
                     "\"wall_ms\": {:.3}, \"witness\": {}}}"
                 ),
-                name, states, ops, stats.engine, stats.visited_pairs, stats.levels, ms, witness
+                name, states, ops, report.engine, report.visited_pairs, report.levels, ms, witness
             ));
         }
     }

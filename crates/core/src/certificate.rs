@@ -153,7 +153,7 @@ impl fmt::Display for Certificate {
 ///
 /// `Inapplicable` means the technique's premises failed — it says nothing
 /// about whether the dependency actually holds (the techniques are sound
-/// but incomplete; use [`crate::reach::depends`] for the exact answer).
+/// but incomplete; use [`crate::query::Query`] for the exact answer).
 #[derive(Debug, Clone)]
 pub enum ProofOutcome {
     /// The technique applied and the statement is proved.

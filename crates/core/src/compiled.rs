@@ -87,7 +87,7 @@ pub enum TableKind {
 ///
 /// Immutable after construction, so one compiled system can be shared
 /// by reference across scoped worker threads — this is what lets
-/// [`crate::reach::sinks_matrix`] compile once for all worth-matrix
+/// [`crate::query::Query::matrix`] compile once for all worth-matrix
 /// rows.
 pub struct CompiledSystem<'s> {
     sys: &'s System,
@@ -304,8 +304,8 @@ impl<'s> CompiledSystem<'s> {
             .collect();
         let reused = (codes.len() - missing.len()) as u64;
         let materialized = missing.len() as u64;
-        trace.counters.rows_reused += reused;
-        trace.counters.rows_materialized += materialized;
+        trace.report.rows_reused += reused;
+        trace.report.rows_materialized += materialized;
         if !codes.is_empty() {
             trace.emit(|| QueryEvent::MemoRows {
                 reused,

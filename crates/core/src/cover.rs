@@ -15,6 +15,7 @@ use crate::compiled::par_map_chunks;
 use crate::constraint::{Phi, StateSet};
 use crate::error::Result;
 use crate::oracle::Oracle;
+use crate::reach::SearchLimits;
 use crate::system::System;
 use crate::universe::{ObjId, ObjSet};
 
@@ -119,7 +120,15 @@ pub fn prove_separation_of_variety_with(
                     let conj = phi.clone().and(cover[i].clone());
                     match strategy {
                         PieceStrategy::ExactBfs => {
-                            if oracle.depends(&conj, a, beta)?.is_some() {
+                            let part = oracle.partition(&conj, a)?;
+                            let (witness, _) = oracle.depends_partition(
+                                &part,
+                                beta,
+                                &SearchLimits::NONE,
+                                u32::MAX,
+                                oracle.sink_ref(),
+                            )?;
+                            if witness.is_some() {
                                 return Ok(Err(format!(
                                     "piece {i}: A ▷(φ∧φ{i}) β holds — no proof possible"
                                 )));

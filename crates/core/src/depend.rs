@@ -174,8 +174,8 @@ pub fn strongly_depends_after(
 }
 
 /// [`strongly_depends_after`] against a precomputed partition, so one
-/// Sat(φ) enumeration serves many histories (this is what
-/// [`crate::reach::depends_bounded`] iterates with).
+/// Sat(φ) enumeration serves many histories (brute-force bounded
+/// enumerations over [`crate::history::histories_up_to`] iterate with it).
 pub fn strongly_depends_after_with(
     sys: &System,
     partition: &SatPartition,

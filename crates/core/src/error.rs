@@ -62,8 +62,8 @@ pub enum Error {
         limit: u64,
     },
     /// A search ran past its caller-imposed deadline (see
-    /// `Query::timeout`). Checked once per BFS level / enumerated
-    /// history, so overshoot is bounded by one level's expansion.
+    /// `Query::timeout`). Checked once per BFS level, so overshoot is
+    /// bounded by one level's expansion.
     DeadlineExceeded,
 }
 

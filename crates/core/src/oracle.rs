@@ -18,11 +18,12 @@
 //! - a shared sparse-row cache for the op-kernel sweeps of
 //!   [`crate::induction`] and [`crate::classify`].
 //!
-//! The one-shot functions in [`crate::reach`] construct a short-lived
-//! Oracle per call, so there is exactly one code path; the provers
-//! ([`crate::solve`], [`crate::cover`], [`crate::induction`]) hold one
-//! Oracle across their whole run, which is where the compile-once payoff
-//! lands.
+//! An Oracle answers nothing by itself: [`crate::query::Query::run`]
+//! asks it questions, and one-shot [`crate::query::Query::run_on`] runs
+//! build a short-lived Oracle per call, so there is exactly one code
+//! path. The provers ([`crate::solve`], [`crate::cover`],
+//! [`crate::induction`]) hold one Oracle across their whole run, which is
+//! where the compile-once payoff lands.
 //!
 //! # When does an Oracle interpret instead of compiling?
 //!
@@ -45,10 +46,9 @@ use crate::depend::{self, SatPartition};
 use crate::error::{Error, Result};
 use crate::reach::{
     self, compiled_search, interpreted_search, DependsWitness, SearchBuffers, SearchLimits,
-    SearchStats,
 };
 use crate::system::System;
-use crate::telemetry::{QueryEvent, Sink, Trace, TraceCounters};
+use crate::telemetry::{QueryEvent, QueryReport, Sink, Trace};
 use crate::universe::{ObjId, ObjSet};
 
 /// Counters describing the work an [`Oracle`] has performed.
@@ -65,6 +65,7 @@ pub struct OracleStats {
 
 /// A compile-once query session over one [`System`]. See the module docs
 /// for what is shared; see [`crate::reach`] for the search semantics.
+/// Ask it questions with [`crate::query::Query::run`].
 ///
 /// An `Oracle` is `Sync`: the provers share one by reference across
 /// scoped worker threads (pieces, cylinder classes, worth-matrix rows).
@@ -72,14 +73,14 @@ pub struct OracleStats {
 /// # Examples
 ///
 /// ```
-/// use sd_core::{examples, ObjSet, Oracle, Phi};
+/// use sd_core::{examples, ObjSet, Oracle, Phi, Query};
 ///
 /// let sys = examples::flag_copy_system(3)?;
 /// let u = sys.universe();
 /// let oracle = Oracle::new(&sys)?;
 /// // Many queries, one compile.
 /// for obj in u.objects() {
-///     let _ = oracle.sinks(&Phi::True, &ObjSet::singleton(obj))?;
+///     let _ = Query::new(Phi::True, ObjSet::singleton(obj)).run(&oracle)?;
 /// }
 /// assert_eq!(oracle.stats().compiles, 1);
 /// # Ok::<(), sd_core::Error>(())
@@ -318,30 +319,23 @@ impl<'s> Oracle<'s> {
     }
 
     /// Runs one pair search over an explicit partition, borrowing a
-    /// buffer set from the pool.
-    pub(crate) fn search_partition(
-        &self,
-        part: &SatPartition,
-        found: impl FnMut(u64, u64) -> bool,
-    ) -> Result<(Option<DependsWitness>, SearchStats)> {
-        let (witness, stats, _) =
-            self.search_partition_at(part, &SearchLimits::NONE, self.sink_ref(), found)?;
-        Ok((witness, stats))
-    }
-
-    /// [`Oracle::search_partition`] with explicit limits and sink, and the
-    /// search's hot-path counters returned for query reports.
-    pub(crate) fn search_partition_at(
+    /// buffer set from the pool. Levels at depth `max_depth` are
+    /// discovered but not expanded (`u32::MAX`: no bound). Returns the
+    /// witness, when `found` stopped the search at a goal pair, and the
+    /// search's cost record (engine, pair and level counts, hot-path
+    /// counters; the caller fills in the query-level fields).
+    pub(crate) fn search(
         &self,
         part: &SatPartition,
         limits: &SearchLimits,
+        max_depth: u32,
         sink: Option<&dyn Sink>,
         found: impl FnMut(u64, u64) -> bool,
-    ) -> Result<(Option<DependsWitness>, SearchStats, TraceCounters)> {
+    ) -> Result<(Option<DependsWitness>, QueryReport)> {
         self.searches.fetch_add(1, Ordering::Relaxed);
         let mut trace = Trace::new(sink);
-        let (witness, stats) = match &self.compiled {
-            None => interpreted_search(self.sys, part, limits, &mut trace, found)?,
+        let witness = match &self.compiled {
+            None => interpreted_search(self.sys, part, limits, max_depth, &mut trace, found)?,
             Some(cs) => {
                 let mut bufs = self
                     .pool
@@ -349,93 +343,41 @@ impl<'s> Oracle<'s> {
                     .expect("buffer pool lock")
                     .pop()
                     .unwrap_or_else(|| SearchBuffers::new(self.ns, &self.budget));
-                let out = compiled_search(cs, part, &mut bufs, limits, &mut trace, found);
+                let out =
+                    compiled_search(cs, part, &mut bufs, limits, max_depth, &mut trace, found);
                 self.pool.lock().expect("buffer pool lock").push(bufs);
                 out?
             }
         };
-        Ok((witness, stats, trace.counters))
+        Ok((witness, trace.report))
     }
 
-    /// Decides `A ▷φ β` through this Oracle (see [`crate::reach::depends`]).
-    pub fn depends(&self, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<Option<DependsWitness>> {
-        Ok(self.depends_with_stats(phi, a, beta)?.0)
-    }
-
-    /// [`Oracle::depends`], also returning search diagnostics.
-    pub fn depends_with_stats(
-        &self,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: ObjId,
-    ) -> Result<(Option<DependsWitness>, SearchStats)> {
-        let part = self.partition(phi, a)?;
-        self.depends_partition(&part, beta)
-    }
-
-    /// `A ▷ β` over an explicit partition (the per-cylinder searches of
-    /// the maximal-solution sweep use this).
+    /// `A ▷ β` over an explicit partition, within `max_depth` steps (see
+    /// [`Oracle::search`]). [`crate::query::Query`] and the provers'
+    /// per-class and per-piece checks run through here.
     pub(crate) fn depends_partition(
         &self,
         part: &SatPartition,
         beta: ObjId,
-    ) -> Result<(Option<DependsWitness>, SearchStats)> {
-        let (witness, stats, _) =
-            self.depends_partition_at(part, beta, &SearchLimits::NONE, self.sink_ref())?;
-        Ok((witness, stats))
-    }
-
-    /// [`Oracle::depends_partition`] with explicit limits, sink and counters.
-    pub(crate) fn depends_partition_at(
-        &self,
-        part: &SatPartition,
-        beta: ObjId,
         limits: &SearchLimits,
+        max_depth: u32,
         sink: Option<&dyn Sink>,
-    ) -> Result<(Option<DependsWitness>, SearchStats, TraceCounters)> {
+    ) -> Result<(Option<DependsWitness>, QueryReport)> {
         let (stride, dom) = reach::extractor(self.sys.universe(), beta);
-        self.search_partition_at(part, limits, sink, move |c1, c2| {
+        self.search(part, limits, max_depth, sink, move |c1, c2| {
             (c1 / stride) % dom != (c2 / stride) % dom
         })
     }
 
-    /// Decides the set-target relation `A ▷φ B` (see
-    /// [`crate::reach::depends_set`]).
-    pub fn depends_set(&self, phi: &Phi, a: &ObjSet, b: &ObjSet) -> Result<Option<DependsWitness>> {
-        if b.is_empty() {
-            return Ok(None);
-        }
-        let u = self.sys.universe();
-        let targets: Vec<(u64, u64)> = b.iter().map(|obj| reach::extractor(u, obj)).collect();
-        let part = self.partition(phi, a)?;
-        let (witness, _) = self.search_partition(&part, move |c1, c2| {
-            targets
-                .iter()
-                .all(|&(stride, dom)| (c1 / stride) % dom != (c2 / stride) % dom)
-        })?;
-        Ok(witness)
-    }
-
-    /// All sinks of one source set: `{ β | A ▷φ β }`.
-    pub fn sinks(&self, phi: &Phi, a: &ObjSet) -> Result<ObjSet> {
-        let part = self.partition(phi, a)?;
-        self.sinks_partition(&part)
-    }
-
-    /// [`Oracle::sinks`] over an explicit partition.
-    pub(crate) fn sinks_partition(&self, part: &SatPartition) -> Result<ObjSet> {
-        let (out, _, _) = self.sinks_partition_at(part, &SearchLimits::NONE, self.sink_ref())?;
-        Ok(out)
-    }
-
-    /// [`Oracle::sinks_partition`] with explicit limits and sink, also
-    /// returning the search diagnostics and counters.
-    pub(crate) fn sinks_partition_at(
+    /// All sinks of one source set, `{ β | A ▷φ β }`, over an explicit
+    /// partition: one search that stops early once every object is known
+    /// to be a sink.
+    pub(crate) fn sinks_partition(
         &self,
         part: &SatPartition,
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
-    ) -> Result<(ObjSet, SearchStats, TraceCounters)> {
+    ) -> Result<(ObjSet, QueryReport)> {
         let u = self.sys.universe();
         let extractors: Vec<(ObjId, u64, u64)> = u
             .objects()
@@ -447,7 +389,7 @@ impl<'s> Oracle<'s> {
         let total = extractors.len();
         let mut out = ObjSet::empty();
         let mut count = 0usize;
-        let (_, stats, counters) = self.search_partition_at(part, limits, sink, |c1, c2| {
+        let (_, report) = self.search(part, limits, u32::MAX, sink, |c1, c2| {
             for &(obj, stride, dom) in &extractors {
                 if !out.contains(obj) && (c1 / stride) % dom != (c2 / stride) % dom {
                     out.insert(obj);
@@ -456,97 +398,38 @@ impl<'s> Oracle<'s> {
             }
             count == total
         })?;
-        Ok((out, stats, counters))
+        Ok((out, report))
     }
 
-    /// One [`Oracle::sinks`] row per source set, sharing the interned
-    /// Sat(φ) enumeration; rows run in parallel on scoped threads, each
-    /// borrowing buffers from the pool.
-    pub fn sinks_matrix(&self, phi: &Phi, sources: &[ObjSet]) -> Result<Vec<ObjSet>> {
-        let (rows, _, _) =
-            self.sinks_matrix_at(phi, sources, &SearchLimits::NONE, self.sink_ref())?;
-        Ok(rows)
-    }
-
-    /// [`Oracle::sinks_matrix`] with explicit limits and sink, aggregating
-    /// the per-row diagnostics (summed pairs/counters, max depth) for the
-    /// query report. The limits apply to each row's search independently;
-    /// the deadline is shared, so the whole matrix respects it.
-    pub(crate) fn sinks_matrix_at(
+    /// One sinks row per source set, sharing the interned Sat(φ)
+    /// enumeration; rows run in parallel on scoped threads, each
+    /// borrowing buffers from the pool. The report sums the rows' counts
+    /// and keeps the deepest level. The limits apply to each row's
+    /// search independently; the deadline is shared, so the whole matrix
+    /// respects it.
+    pub(crate) fn sinks_matrix(
         &self,
         phi: &Phi,
         sources: &[ObjSet],
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
-    ) -> Result<(Vec<ObjSet>, SearchStats, TraceCounters)> {
-        let mut agg = SearchStats {
-            engine: self.engine_name(),
-            visited_pairs: 0,
-            levels: 0,
-        };
-        let mut totals = TraceCounters::default();
-        if sources.is_empty() {
-            return Ok((Vec::new(), agg, totals));
-        }
+    ) -> Result<(Vec<ObjSet>, QueryReport)> {
         let codes = self.sat_codes_at(phi, sink)?;
         let u = self.sys.universe();
-        let row = |src: &ObjSet| -> Result<(ObjSet, SearchStats, TraceCounters)> {
+        let row = |src: &ObjSet| {
             let part = SatPartition::from_codes(u, &codes, src);
-            self.sinks_partition_at(&part, limits, sink)
+            self.sinks_partition(&part, limits, sink)
         };
-        let chunked: Vec<Vec<Result<(ObjSet, SearchStats, TraceCounters)>>> =
+        let chunked: Vec<Vec<Result<(ObjSet, QueryReport)>>> =
             par_map_chunks(sources, 1, |chunk| chunk.iter().map(&row).collect());
+        let mut total = QueryReport::empty(self.engine_name());
         let mut rows = Vec::with_capacity(sources.len());
         for res in chunked.into_iter().flatten() {
-            let (set, stats, counters) = res?;
-            agg.visited_pairs += stats.visited_pairs;
-            agg.levels = agg.levels.max(stats.levels);
-            totals.absorb(counters);
+            let (set, report) = res?;
+            total.absorb(&report);
             rows.push(set);
         }
-        Ok((rows, agg, totals))
-    }
-
-    /// Bounded-history variant of [`Oracle::depends`] (see
-    /// [`crate::reach::depends_bounded`]): one interned partition is
-    /// shared across every enumerated history.
-    pub fn depends_bounded(
-        &self,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: ObjId,
-        max_len: usize,
-    ) -> Result<Option<DependsWitness>> {
-        self.depends_bounded_at(phi, a, beta, max_len, &SearchLimits::NONE)
-    }
-
-    /// [`Oracle::depends_bounded`] under [`SearchLimits`]: the deadline is
-    /// checked between enumerated histories (the pair budget does not
-    /// apply to bounded enumeration, which visits no pairs).
-    pub(crate) fn depends_bounded_at(
-        &self,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: ObjId,
-        max_len: usize,
-        limits: &SearchLimits,
-    ) -> Result<Option<DependsWitness>> {
-        let part = self.partition(phi, a)?;
-        for h in crate::history::histories_up_to(self.sys.num_ops(), max_len) {
-            if let Some(d) = limits.deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(Error::DeadlineExceeded);
-                }
-            }
-            if let Some(w) = depend::strongly_depends_after_with(self.sys, &part, beta, &h)? {
-                return Ok(Some(DependsWitness {
-                    history: h,
-                    sigma1: w.sigma1,
-                    sigma2: w.sigma2,
-                }));
-            }
-        }
-        Ok(None)
+        Ok((rows, total))
     }
 
     /// Runs `f` against the compiled tables with sparse successor rows
@@ -576,6 +459,7 @@ impl<'s> Oracle<'s> {
 mod tests {
     use super::*;
     use crate::examples;
+    use crate::query::Query;
 
     #[test]
     fn one_compile_many_queries() {
@@ -585,17 +469,12 @@ mod tests {
         let sources: Vec<ObjSet> = u.objects().map(ObjSet::singleton).collect();
         for a in &sources {
             for beta in u.objects() {
-                let via_oracle = oracle.depends(&Phi::True, a, beta).unwrap();
-                let direct = crate::query::Query::new(Phi::True, a.clone())
-                    .beta(beta)
-                    .run_on(&sys)
-                    .unwrap()
-                    .into_witness();
+                let q = Query::new(Phi::True, a.clone()).beta(beta);
+                let via_oracle = q.run(&oracle).unwrap().into_witness();
+                let direct = q.run_on(&sys).unwrap().into_witness();
                 assert_eq!(
-                    via_oracle
-                        .as_ref()
-                        .map(|w| (&w.history, &w.sigma1, &w.sigma2)),
-                    direct.as_ref().map(|w| (&w.history, &w.sigma1, &w.sigma2)),
+                    via_oracle.map(|w| (w.history, w.sigma1, w.sigma2)),
+                    direct.map(|w| (w.history, w.sigma1, w.sigma2)),
                 );
             }
         }
@@ -623,10 +502,11 @@ mod tests {
         let oracle =
             Oracle::with_engine(&sys, Engine::Interpreted, &CompileBudget::default()).unwrap();
         let a = ObjSet::singleton(u.objects().next().unwrap());
-        let (_, stats) = oracle
-            .depends_with_stats(&Phi::True, &a, u.objects().last().unwrap())
+        let out = Query::new(Phi::True, a)
+            .beta(u.objects().last().unwrap())
+            .run(&oracle)
             .unwrap();
-        assert_eq!(stats.engine, "interpreted");
+        assert_eq!(out.report.engine, "interpreted");
         assert_eq!(oracle.stats().compiles, 0);
     }
 
@@ -636,9 +516,15 @@ mod tests {
         let u = sys.universe();
         let oracle = Oracle::new(&sys).unwrap();
         let sources: Vec<ObjSet> = u.objects().map(ObjSet::singleton).collect();
-        let rows = oracle.sinks_matrix(&Phi::True, &sources).unwrap();
-        for (a, row) in sources.iter().zip(&rows) {
-            assert_eq!(*row, oracle.sinks(&Phi::True, a).unwrap());
+        let out = Query::matrix(Phi::True, sources.clone())
+            .run(&oracle)
+            .unwrap();
+        let mut visited = 0;
+        for (a, row) in sources.iter().zip(out.clone().into_rows().unwrap()) {
+            let single = Query::new(Phi::True, a.clone()).run(&oracle).unwrap();
+            visited += single.report.visited_pairs;
+            assert_eq!(row, single.into_sinks().unwrap());
         }
+        assert_eq!(out.report.visited_pairs, visited, "rows' pairs add up");
     }
 }

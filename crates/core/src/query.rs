@@ -3,13 +3,13 @@
 //!
 //! A [`Query`] names a constraint φ and a source set A, a target (a
 //! single object β, a set B, or "all sinks"), and optional tuning
-//! (engine, compile budget, history-length bound, telemetry sink). It
-//! runs either one-shot ([`Query::run_on`] — builds a short-lived
-//! [`Oracle`] per call, exactly what the deprecated free functions in
-//! [`crate::reach`] used to do) or against a shared [`Oracle`]
-//! ([`Query::run`] — compile once, query many times). Both return a
-//! [`QueryOutcome`]: the answer, the search diagnostics, and a
-//! per-query [`QueryReport`] cost accounting.
+//! (engine, compile budget, history-length bound, search limits,
+//! telemetry sink). It is the one public way to ask: it runs either
+//! one-shot ([`Query::run_on`] — builds a short-lived [`Oracle`] per
+//! call) or against a shared [`Oracle`] ([`Query::run`] — compile once,
+//! query many times). Both return a [`QueryOutcome`]: the answer and the
+//! per-query [`QueryReport`] cost accounting, the one record of what the
+//! search did.
 //!
 //! # Examples
 //!
@@ -52,7 +52,7 @@ use crate::constraint::Phi;
 use crate::error::{Error, Result};
 use crate::fastmap::Fnv64;
 use crate::oracle::Oracle;
-use crate::reach::{DependsWitness, SearchLimits, SearchStats};
+use crate::reach::{DependsWitness, SearchLimits};
 use crate::system::System;
 use crate::telemetry::{QueryEvent, QueryReport, Sink};
 use crate::universe::{ObjId, ObjSet, Universe};
@@ -97,16 +97,13 @@ pub enum QueryAnswer {
     Matrix(Vec<ObjSet>),
 }
 
-/// Everything one query run produced: the answer, the engine's search
-/// diagnostics, and the cost report.
+/// Everything one query run produced: the answer and the cost report.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The answer, shaped by the query's target.
     pub answer: QueryAnswer,
-    /// Search diagnostics — `None` when no pair search ran (bounded
-    /// enumeration, empty-target shortcuts).
-    pub stats: Option<SearchStats>,
-    /// Per-query cost accounting.
+    /// Per-query cost accounting: which engine searched, how many pairs
+    /// and levels, and where the time went.
     pub report: QueryReport,
 }
 
@@ -198,11 +195,12 @@ impl Query {
         self
     }
 
-    /// Restricts the search to histories of length ≤ `max_len`
-    /// (brute-force enumeration; only valid for β targets). This is the
-    /// single bounded entry point — both the deprecated
-    /// `reach::depends_bounded` and [`Oracle::depends_bounded`] now
-    /// agree on it, with the bound as the trailing parameter.
+    /// Restricts the question to histories of length ≤ `max_len` (only
+    /// valid for β targets). It runs the same pair search, which stops
+    /// expanding after level `max_len`; pairs are discovered at their
+    /// minimal depth, so the verdict is exact for the bound and the
+    /// witness is the unbounded query's whenever that one has length
+    /// ≤ `max_len`. Search limits apply as for any other query.
     pub fn bounded(mut self, max_len: usize) -> Query {
         self.bound = Some(max_len);
         self
@@ -235,8 +233,7 @@ impl Query {
 
     /// Sets a wall-clock deadline `timeout` from now; a search running
     /// past it returns [`Error::DeadlineExceeded`]. Checked once per
-    /// BFS level (or per enumerated history for bounded queries), so
-    /// overshoot is bounded by one level's expansion.
+    /// BFS level, so overshoot is bounded by one level's expansion.
     pub fn timeout(mut self, timeout: Duration) -> Query {
         self.limits.deadline = Some(Instant::now() + timeout);
         self
@@ -389,7 +386,6 @@ impl Query {
         };
         Some(QueryOutcome {
             answer,
-            stats: None,
             report: QueryReport::empty("none"),
         })
     }
@@ -402,74 +398,55 @@ impl Query {
         let partition_cached = !fresh && oracle.phi_interned(&self.phi);
         let fresh_compile = fresh && oracle.stats().compiles > 0;
         let start = Instant::now();
-        let (answer, stats, counters) = match (&self.target, self.bound) {
-            (Target::Beta(beta), Some(max_len)) => {
-                let witness =
-                    oracle.depends_bounded_at(&self.phi, &self.a, *beta, max_len, &self.limits)?;
-                (QueryAnswer::Depends(witness), None, Default::default())
+        let (answer, mut report) = match &self.target {
+            Target::Beta(beta) => {
+                // Levels beyond any u32 depth cannot exist: the node
+                // arena holds fewer than 2³² pairs.
+                let max_depth = self
+                    .bound
+                    .map_or(u32::MAX, |k| u32::try_from(k).unwrap_or(u32::MAX));
+                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
+                let (witness, report) =
+                    oracle.depends_partition(&part, *beta, &self.limits, max_depth, sink)?;
+                (QueryAnswer::Depends(witness), report)
             }
-            (_, Some(_)) => {
+            _ if self.bound.is_some() => {
                 return Err(Error::Invalid(
                     "bounded queries require a single-object β target".into(),
                 ))
             }
-            (Target::Beta(beta), None) => {
-                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (witness, stats, counters) =
-                    oracle.depends_partition_at(&part, *beta, &self.limits, sink)?;
-                (QueryAnswer::Depends(witness), Some(stats), counters)
-            }
-            (Target::Set(b), None) => {
+            Target::Set(b) => {
                 let u = oracle.system().universe();
                 let targets: Vec<(u64, u64)> = b
                     .iter()
                     .map(|obj| crate::reach::extractor(u, obj))
                     .collect();
                 let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (witness, stats, counters) =
-                    oracle.search_partition_at(&part, &self.limits, sink, move |c1, c2| {
+                let (witness, report) =
+                    oracle.search(&part, &self.limits, u32::MAX, sink, move |c1, c2| {
                         targets
                             .iter()
                             .all(|&(stride, dom)| (c1 / stride) % dom != (c2 / stride) % dom)
                     })?;
-                (QueryAnswer::Depends(witness), Some(stats), counters)
+                (QueryAnswer::Depends(witness), report)
             }
-            (Target::Sinks, None) => {
+            Target::Sinks => {
                 let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (set, stats, counters) =
-                    oracle.sinks_partition_at(&part, &self.limits, sink)?;
-                (QueryAnswer::Sinks(set), Some(stats), counters)
+                let (set, report) = oracle.sinks_partition(&part, &self.limits, sink)?;
+                (QueryAnswer::Sinks(set), report)
             }
-            (Target::Matrix(sources), None) => {
-                let (rows, stats, counters) =
-                    oracle.sinks_matrix_at(&self.phi, sources, &self.limits, sink)?;
-                (QueryAnswer::Matrix(rows), Some(stats), counters)
+            Target::Matrix(sources) => {
+                let (rows, report) = oracle.sinks_matrix(&self.phi, sources, &self.limits, sink)?;
+                (QueryAnswer::Matrix(rows), report)
             }
         };
-        let report = QueryReport {
-            engine: match &stats {
-                Some(s) => s.engine,
-                // Bounded enumeration replays histories on the AST
-                // interpreter regardless of the oracle's tables.
-                None => "interpreted",
-            },
-            wall_ns: start.elapsed().as_nanos() as u64,
-            visited_pairs: stats.as_ref().map_or(0, |s| s.visited_pairs),
-            pair_expansions: counters.expansions,
-            levels: stats.as_ref().map_or(0, |s| s.levels),
-            partition_cached,
-            fresh_compile,
-            rows_reused: counters.rows_reused,
-            rows_materialized: counters.rows_materialized,
-        };
+        report.wall_ns = start.elapsed().as_nanos() as u64;
+        report.partition_cached = partition_cached;
+        report.fresh_compile = fresh_compile;
         if let Some(s) = sink {
             s.record(&QueryEvent::QueryDone { report });
         }
-        Ok(QueryOutcome {
-            answer,
-            stats,
-            report,
-        })
+        Ok(QueryOutcome { answer, report })
     }
 }
 
@@ -484,22 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_answers_match_oracle_paths() {
+    fn shared_and_one_shot_runs_agree() {
         let sys = sys3();
         let u = sys.universe();
         let oracle = Oracle::new(&sys).unwrap();
         for a in u.objects() {
             let src = ObjSet::singleton(a);
             let shared = Query::new(Phi::True, src.clone()).run(&oracle).unwrap();
-            let oneshot = Query::new(Phi::True, src.clone()).run_on(&sys).unwrap();
-            assert_eq!(
-                shared.clone().into_sinks().unwrap(),
-                oneshot.into_sinks().unwrap()
-            );
-            assert_eq!(
-                shared.into_sinks().unwrap(),
-                oracle.sinks(&Phi::True, &src).unwrap()
-            );
+            let oneshot = Query::new(Phi::True, src).run_on(&sys).unwrap();
+            assert_eq!(shared.report.visited_pairs, oneshot.report.visited_pairs);
+            assert_eq!(shared.into_sinks().unwrap(), oneshot.into_sinks().unwrap());
         }
         assert_eq!(oracle.stats().compiles, 1);
     }
@@ -530,7 +501,7 @@ mod tests {
         let out = Query::new(Phi::True, a).run_on(&sys).unwrap();
         assert!(out.report.fresh_compile);
         assert!(!out.report.partition_cached);
-        assert!(out.stats.is_some());
+        assert!(out.report.visited_pairs > 0);
     }
 
     #[test]

@@ -24,8 +24,14 @@
 //! the visited structure), not when it is dequeued, and both expand pairs
 //! in the same frontier × operation order. They are therefore
 //! observationally identical — same verdicts, same minimal witnesses, the
-//! same [`SearchStats`] counts, and the same first error on invalid
-//! systems.
+//! same `visited_pairs`/`levels` in the [`crate::telemetry::QueryReport`]
+//! they fill, and the same first error on invalid systems.
+//!
+//! Every pair is discovered at its minimal depth, so a search that stops
+//! expanding after level k decides the bounded relation "some history of
+//! length ≤ k transmits" exactly: that is how
+//! [`crate::query::Query::bounded`] runs, and its witness is the
+//! unbounded search's whenever that witness has length ≤ k.
 //!
 //! The same search underlies sink queries (all β reachable from a source
 //! set, i.e. one row of the §3.6 worth measure) and batched matrix sweeps
@@ -34,10 +40,9 @@
 //! ([`crate::query::Query::run_on`]) construct a short-lived
 //! [`crate::oracle::Oracle`] per call; hold an `Oracle` yourself and use
 //! [`crate::query::Query::run`] to amortise the compile and Sat(φ)
-//! enumeration across many queries. The free functions in this module
-//! ([`depends`], [`sinks`], …) are deprecated thin wrappers over the
-//! builder. Both engines report [`QueryEvent`]s (BFS levels, memo-row
-//! reuse, witnesses) to an attached [`crate::telemetry::Sink`].
+//! enumeration across many queries. Both engines report [`QueryEvent`]s
+//! (BFS levels, memo-row reuse, witnesses) to an attached
+//! [`crate::telemetry::Sink`].
 
 use std::collections::{HashMap, VecDeque};
 
@@ -45,16 +50,14 @@ use crate::bitset::BitSet;
 use crate::compiled::{
     par_map_chunks, CompileBudget, CompiledSystem, Engine, SparseMemo, TableKind, POISON,
 };
-use crate::constraint::Phi;
 use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::fastmap::U64Set;
 use crate::history::{History, OpId};
-use crate::query::Query;
 use crate::state::State;
 use crate::system::System;
 use crate::telemetry::{QueryEvent, Trace};
-use crate::universe::{ObjId, ObjSet, Universe};
+use crate::universe::{ObjId, Universe};
 
 /// A witness that `A ▷φ β`: the history and initial state pair.
 #[derive(Debug, Clone)]
@@ -67,24 +70,6 @@ pub struct DependsWitness {
     pub sigma2: State,
 }
 
-/// Diagnostics from one pair search.
-///
-/// `visited_pairs` counts the distinct canonical pairs *discovered*.
-/// Every engine checks the goal at discovery time and stops immediately,
-/// so the count is engine-independent on early-exit searches just as on
-/// exhaustive ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Which engine ran: `"interpreted"`, `"compiled-dense"` or
-    /// `"compiled-sparse"`.
-    pub engine: &'static str,
-    /// Distinct canonical state pairs discovered.
-    pub visited_pairs: u64,
-    /// Deepest BFS level reached (= witness history length when the
-    /// search stopped at a goal pair).
-    pub levels: u32,
-}
-
 /// Caller-imposed cut-offs on one pair search: a visited-pair budget
 /// and/or a wall-clock deadline. The default imposes neither.
 ///
@@ -93,8 +78,8 @@ pub struct SearchStats {
 /// serving layer can refuse work deterministically. The budget is
 /// engine-independent: both engines discover pairs in the same order,
 /// so they exhaust at the same pair. The deadline is checked once per
-/// BFS level (or per enumerated history for bounded queries), bounding
-/// overshoot by a single level's expansion.
+/// BFS level, bounding overshoot by a single level's expansion. Both
+/// apply to bounded queries too, which run the same search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchLimits {
     /// Maximum distinct pairs the search may discover. A pair that
@@ -173,49 +158,58 @@ fn bump_depth(counts: &mut Vec<u64>, depth: usize) {
     counts[depth] += 1;
 }
 
+/// Records how a search ended in its cost record, plus the witness event
+/// when it stopped at a goal pair.
+fn finish(
+    trace: &mut Trace<'_>,
+    visited: usize,
+    levels: u32,
+    witness: Option<DependsWitness>,
+) -> Result<Option<DependsWitness>> {
+    trace.report.visited_pairs = visited as u64;
+    trace.report.levels = levels;
+    if witness.is_some() {
+        trace.emit(|| QueryEvent::Witness { length: levels });
+    }
+    Ok(witness)
+}
+
 /// Interpreted reference BFS over the pair graph. Calls `found` on every
 /// pair as it is *discovered* (roots in ascending order, then candidates
 /// in frontier × operation order — the same order the compiled merge
 /// uses); when `found` returns `true` the search stops and the witness is
-/// reconstructed.
+/// reconstructed. Levels at depth `max_depth` are discovered but not
+/// expanded. Fills `trace.report`'s engine and search counts.
 pub(crate) fn interpreted_search(
     sys: &System,
     part: &SatPartition,
     limits: &SearchLimits,
+    max_depth: u32,
     trace: &mut Trace<'_>,
     mut found: impl FnMut(u64, u64) -> bool,
-) -> Result<(Option<DependsWitness>, SearchStats)> {
+) -> Result<Option<DependsWitness>> {
     let u = sys.universe();
     let num_ops = sys.num_ops() as u64;
     let tracing = trace.sink.is_some();
+    trace.report.engine = "interpreted";
     // Pairs discovered per depth, maintained only when a sink is
     // attached: all of depth d is discovered before the first depth-d
     // pair is dequeued, so the count is the level's frontier size.
     let mut depth_counts: Vec<u64> = Vec::new();
-    let mut last_level: i64 = -1;
     // parent: pair -> (predecessor pair, op applied). Roots map to None.
     let mut parent: HashMap<Pair, Option<(Pair, OpId)>> = HashMap::new();
     let mut queue: VecDeque<(Pair, u32)> = VecDeque::new();
-    let reconstruct = |parent: &HashMap<Pair, Option<(Pair, OpId)>>, mut cur: Pair| {
+    let witness = |parent: &HashMap<Pair, Option<(Pair, OpId)>>, mut cur: Pair| {
         let mut ops = Vec::new();
-        loop {
-            match parent[&cur] {
-                None => break,
-                Some((prev, op)) => {
-                    ops.push(op);
-                    cur = prev;
-                }
-            }
+        while let Some((prev, op)) = parent[&cur] {
+            ops.push(op);
+            cur = prev;
         }
         ops.reverse();
-        (cur, History::from_ops(ops))
-    };
-    let witness = |parent: &HashMap<Pair, Option<(Pair, OpId)>>, pair: Pair| {
-        let (root, history) = reconstruct(parent, pair);
         DependsWitness {
-            history,
-            sigma1: State::decode(u, root.0),
-            sigma2: State::decode(u, root.1),
+            history: History::from_ops(ops),
+            sigma1: State::decode(u, cur.0),
+            sigma2: State::decode(u, cur.1),
         }
     };
     let mut levels = 0u32;
@@ -228,35 +222,31 @@ pub(crate) fn interpreted_search(
             }
             if found(p.0, p.1) {
                 let w = witness(&parent, p);
-                let stats = SearchStats {
-                    engine: "interpreted",
-                    visited_pairs: parent.len() as u64,
-                    levels,
-                };
-                trace.emit(|| QueryEvent::Witness { length: levels });
-                return Ok((Some(w), stats));
+                return finish(trace, parent.len(), levels, Some(w));
             }
             limits.check_pairs(parent.len() as u64)?;
             queue.push_back((p, 0));
         }
     }
-    // Deadline granularity: once per BFS depth, matching the compiled
-    // engine's per-level check.
-    let mut deadline_depth: i64 = -1;
+    // The queue holds pairs in depth order, so the first pair of each
+    // depth marks a level boundary: the depth cap, the deadline and the
+    // level event all act there, matching the compiled engine's
+    // per-level loop.
+    let mut level: i64 = -1;
     while let Some((pair, depth)) = queue.pop_front() {
-        if i64::from(depth) > deadline_depth {
-            deadline_depth = i64::from(depth);
+        if i64::from(depth) > level {
+            level = i64::from(depth);
+            if depth >= max_depth {
+                break;
+            }
             limits.check_deadline()?;
-        }
-        if tracing && i64::from(depth) > last_level {
-            last_level = i64::from(depth);
             trace.emit(|| QueryEvent::BfsLevel {
                 level: depth,
                 frontier: depth_counts[depth as usize],
                 visited: parent.len() as u64,
             });
         }
-        trace.counters.expansions += num_ops;
+        trace.report.pair_expansions += num_ops;
         let s1 = State::decode(u, pair.0);
         let s2 = State::decode(u, pair.1);
         for op in sys.op_ids() {
@@ -277,25 +267,14 @@ pub(crate) fn interpreted_search(
                 }
                 if found(next.0, next.1) {
                     let w = witness(&parent, next);
-                    let stats = SearchStats {
-                        engine: "interpreted",
-                        visited_pairs: parent.len() as u64,
-                        levels,
-                    };
-                    trace.emit(|| QueryEvent::Witness { length: levels });
-                    return Ok((Some(w), stats));
+                    return finish(trace, parent.len(), levels, Some(w));
                 }
                 limits.check_pairs(parent.len() as u64)?;
                 queue.push_back((next, depth + 1));
             }
         }
     }
-    let stats = SearchStats {
-        engine: "interpreted",
-        visited_pairs: parent.len() as u64,
-        levels,
-    };
-    Ok((None, stats))
+    finish(trace, parent.len(), levels, None)
 }
 
 /// A discovered pair in the compiled search: packed canonical pair key
@@ -414,19 +393,20 @@ fn reconstruct_compiled(u: &Universe, nodes: &[Node], mut idx: usize, ns: u64) -
 
 /// Compiled BFS over packed pair codes: level-parallel expansion with a
 /// sequential in-order merge (see module docs for why the merge order
-/// matters).
+/// matters). Same contract as [`interpreted_search`].
 pub(crate) fn compiled_search(
     cs: &CompiledSystem<'_>,
     part: &SatPartition,
     bufs: &mut SearchBuffers,
     limits: &SearchLimits,
+    max_depth: u32,
     trace: &mut Trace<'_>,
     mut found: impl FnMut(u64, u64) -> bool,
-) -> Result<(Option<DependsWitness>, SearchStats)> {
+) -> Result<Option<DependsWitness>> {
     let u = cs.system().universe();
     let ns = cs.state_count();
     let num_ops = cs.num_ops();
-    let engine = match cs.kind() {
+    trace.report.engine = match cs.kind() {
         TableKind::Dense => "compiled-dense",
         TableKind::Sparse => "compiled-sparse",
     };
@@ -456,13 +436,8 @@ pub(crate) fn compiled_search(
         }
         let idx = push_node(nodes, key, NO_PARENT, 0)?;
         if found(key / ns, key % ns) {
-            let stats = SearchStats {
-                engine,
-                visited_pairs: nodes.len() as u64,
-                levels: 0,
-            };
-            trace.emit(|| QueryEvent::Witness { length: 0 });
-            return Ok((Some(reconstruct_compiled(u, nodes, idx, ns)), stats));
+            let w = reconstruct_compiled(u, nodes, idx, ns);
+            return finish(trace, nodes.len(), 0, Some(w));
         }
         limits.check_pairs(nodes.len() as u64)?;
     }
@@ -470,7 +445,7 @@ pub(crate) fn compiled_search(
     let mut lo = 0usize;
     let mut depth = 0u32;
     let mut levels = 0u32;
-    while lo < nodes.len() {
+    while lo < nodes.len() && depth < max_depth {
         let hi = nodes.len();
         limits.check_deadline()?;
         trace.emit(|| QueryEvent::BfsLevel {
@@ -478,7 +453,7 @@ pub(crate) fn compiled_search(
             frontier: (hi - lo) as u64,
             visited: hi as u64,
         });
-        trace.counters.expansions += (hi - lo) as u64 * num_ops as u64;
+        trace.report.pair_expansions += (hi - lo) as u64 * num_ops as u64;
         depth += 1;
         // Materialise sparse successor rows for every state in the
         // frontier (parallel, no-op for dense tables).
@@ -568,24 +543,14 @@ pub(crate) fn compiled_search(
                 levels = depth;
                 let idx = push_node(nodes, cand.key, cand.parent, cand.op)?;
                 if found(cand.key / ns, cand.key % ns) {
-                    let stats = SearchStats {
-                        engine,
-                        visited_pairs: nodes.len() as u64,
-                        levels,
-                    };
-                    trace.emit(|| QueryEvent::Witness { length: levels });
-                    return Ok((Some(reconstruct_compiled(u, nodes, idx, ns)), stats));
+                    let w = reconstruct_compiled(u, nodes, idx, ns);
+                    return finish(trace, nodes.len(), levels, Some(w));
                 }
                 limits.check_pairs(nodes.len() as u64)?;
             }
         }
     }
-    let stats = SearchStats {
-        engine,
-        visited_pairs: nodes.len() as u64,
-        levels,
-    };
-    Ok((None, stats))
+    finish(trace, nodes.len(), levels, None)
 }
 
 /// State spaces at or above this size cannot use packed `u64` pair keys;
@@ -625,197 +590,14 @@ pub(crate) fn extractor(u: &Universe, obj: ObjId) -> (u64, u64) {
     (u.stride(obj) as u64, u.domain(obj).size() as u64)
 }
 
-/// Decides `A ▷φ β` (Def 2-11): is there *any* history over which β
-/// strongly depends on A given φ? Exact; returns a witness if so.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).run_on(sys)` instead"
-)]
-pub fn depends(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// [`depends`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn depends_with(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// [`depends_with`], also returning search diagnostics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).run_on(sys)`; the outcome carries stats and a report"
-)]
-pub fn depends_with_stats(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<(Option<DependsWitness>, SearchStats)> {
-    let out = Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?;
-    let stats = out.stats.expect("a β-target query always runs a search");
-    Ok((out.into_witness(), stats))
-}
-
-/// Decides the set-target relation `A ▷φ B` (Def 5-7): some history leads
-/// the pair to values differing at *every* object of B.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).set(b).run_on(sys)` instead"
-)]
-pub fn depends_set(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    b: &ObjSet,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .set(b.clone())
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// [`depends_set`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).set(b).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn depends_set_with(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    b: &ObjSet,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .set(b.clone())
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// All sinks of a source set: `{ β | A ▷φ β }` — one row of the §3.6 worth
-/// measure, computed with a single pair-BFS (exhaustive, except that the
-/// sweep stops early once every object is known to be a sink).
-#[deprecated(since = "0.2.0", note = "use `Query::new(phi, a).run_on(sys)` instead")]
-pub fn sinks(sys: &System, phi: &Phi, a: &ObjSet) -> Result<ObjSet> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .run_on(sys)?
-        .into_sinks()
-        .expect("a sinks query returns a sink set"))
-}
-
-/// [`sinks`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn sinks_with(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<ObjSet> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_sinks()
-        .expect("a sinks query returns a sink set"))
-}
-
-/// One [`sinks`] row per source set, sharing a single Sat(φ) enumeration
-/// and a single compiled system across all rows; rows run in parallel on
-/// scoped threads. This is what the §3.6 worth matrix calls.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::matrix(phi, sources).run_on(sys)` instead"
-)]
-pub fn sinks_matrix(sys: &System, phi: &Phi, sources: &[ObjSet]) -> Result<Vec<ObjSet>> {
-    Ok(Query::matrix(phi.clone(), sources.to_vec())
-        .run_on(sys)?
-        .into_rows()
-        .expect("a matrix query returns rows"))
-}
-
-/// [`sinks_matrix`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::matrix(phi, sources).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn sinks_matrix_with(
-    sys: &System,
-    phi: &Phi,
-    sources: &[ObjSet],
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<Vec<ObjSet>> {
-    Ok(Query::matrix(phi.clone(), sources.to_vec())
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_rows()
-        .expect("a matrix query returns rows"))
-}
-
-/// Bounded variant of [`depends`]: only histories of length ≤ `max_len`.
-///
-/// Used by tests to cross-check the BFS against brute-force enumeration.
-/// One Sat(φ) partition is shared across all enumerated histories (the
-/// Oracle's interned enumeration). The bound is the trailing `usize`,
-/// matching [`crate::oracle::Oracle::depends_bounded`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).bounded(max_len).run_on(sys)` instead"
-)]
-pub fn depends_bounded(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-    max_len: usize,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .bounded(max_len)
-        .engine(Engine::Interpreted)
-        .run_on(sys)?
-        .into_witness())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::Phi;
     use crate::expr::Expr;
     use crate::op::{Cmd, Op};
-    use crate::universe::{Domain, Universe};
+    use crate::query::Query;
+    use crate::universe::{Domain, ObjSet, Universe};
 
     const ENGINES: [Engine; 4] = [
         Engine::Auto,
@@ -904,9 +686,16 @@ mod tests {
                 Phi::expr(Expr::var(u.obj("flag").unwrap()).not()),
             ] {
                 let exact = q(&phi, &a, b).run_on(&sys).unwrap().holds();
-                let brute = q(&phi, &a, b).bounded(4).run_on(&sys).unwrap().holds();
-                // Histories of length ≤ 4 are enough in this tiny system.
+                // Brute force: the Def 2-7 check on every history of
+                // length ≤ 4, which is enough in this tiny system.
+                let brute = crate::history::histories_up_to(sys.num_ops(), 4).any(|h| {
+                    crate::depend::strongly_depends_after(&sys, &phi, &a, b, &h)
+                        .unwrap()
+                        .is_some()
+                });
                 assert_eq!(exact, brute, "mismatch for source {src}");
+                let bounded = q(&phi, &a, b).bounded(4).run_on(&sys).unwrap().holds();
+                assert_eq!(bounded, brute, "bounded mismatch for source {src}");
             }
         }
     }
@@ -1050,6 +839,53 @@ mod tests {
             .is_empty());
     }
 
+    /// Witness fields plus the search counts `(engine, visited pairs,
+    /// levels)` of one direct engine run.
+    type Run = (Option<(History, State, State)>, (&'static str, u64, u32));
+
+    fn unpack(witness: Option<DependsWitness>, trace: Trace<'_>) -> Run {
+        let r = trace.report;
+        (
+            witness.map(|w| (w.history, w.sigma1, w.sigma2)),
+            (r.engine, r.visited_pairs, r.levels),
+        )
+    }
+
+    /// The compiled engine with no limits, driven directly.
+    fn run_compiled(
+        cs: &CompiledSystem<'_>,
+        part: &SatPartition,
+        bufs: &mut SearchBuffers,
+        max_depth: u32,
+        goal: impl FnMut(u64, u64) -> bool,
+    ) -> Run {
+        let mut trace = Trace::disabled();
+        let w = compiled_search(
+            cs,
+            part,
+            bufs,
+            &SearchLimits::NONE,
+            max_depth,
+            &mut trace,
+            goal,
+        )
+        .unwrap();
+        unpack(w, trace)
+    }
+
+    /// The interpreted engine with no limits, driven directly.
+    fn run_interpreted(
+        sys: &System,
+        part: &SatPartition,
+        max_depth: u32,
+        goal: impl FnMut(u64, u64) -> bool,
+    ) -> Run {
+        let mut trace = Trace::disabled();
+        let w = interpreted_search(sys, part, &SearchLimits::NONE, max_depth, &mut trace, goal)
+            .unwrap();
+        unpack(w, trace)
+    }
+
     #[test]
     fn stats_report_engine_and_depth() {
         let sys = flag_sys();
@@ -1057,66 +893,69 @@ mod tests {
         let a = ObjSet::singleton(u.obj("alpha").unwrap());
         let b = u.obj("beta").unwrap();
         let budget = CompileBudget::default();
-        let mut early: Vec<SearchStats> = Vec::new();
+        let mut early = Vec::new();
         for (engine, name) in [
             (Engine::Interpreted, "interpreted"),
             (Engine::CompiledDense, "compiled-dense"),
             (Engine::CompiledSparse, "compiled-sparse"),
         ] {
             let out = q(&Phi::True, &a, b).engine(engine).run_on(&sys).unwrap();
-            let stats = out.stats.unwrap();
-            assert_eq!(stats.engine, name);
-            assert_eq!(stats.engine, out.report.engine);
-            assert!(stats.visited_pairs > 0);
-            assert!(out.report.pair_expansions > 0);
+            let report = out.report;
+            assert_eq!(report.engine, name);
+            assert!(report.visited_pairs > 0);
+            assert!(report.pair_expansions > 0);
             assert_eq!(
-                stats.levels as usize,
+                report.levels as usize,
                 out.into_witness().unwrap().history.len()
             );
-            early.push(stats);
+            early.push(report);
         }
         // Every engine goal-checks at discovery, so early-exit searches
         // count the same pairs and depth.
-        for stats in &early[1..] {
-            assert_eq!(stats.visited_pairs, early[0].visited_pairs);
-            assert_eq!(stats.levels, early[0].levels);
+        for report in &early[1..] {
+            assert_eq!(report.visited_pairs, early[0].visited_pairs);
+            assert_eq!(report.levels, early[0].levels);
         }
-        // Exhaustive searches count exactly the same reachable pairs.
+        // Exhaustive searches (a goal that never triggers) count exactly
+        // the same reachable pairs.
         let ns = sys.state_count().unwrap();
-        let exhausted: Vec<SearchStats> = [Engine::Interpreted, Engine::CompiledDense]
-            .into_iter()
-            .map(|engine| {
-                // A goal that never triggers: β differing at an impossible
-                // index keeps the sweep exhaustive.
-                let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
-                if engine == Engine::Interpreted {
-                    interpreted_search(
-                        &sys,
-                        &part,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap()
-                    .1
-                } else {
-                    let cs = CompiledSystem::compile(&sys, engine, &budget).unwrap();
-                    let mut bufs = SearchBuffers::new(ns, &budget);
-                    compiled_search(
-                        &cs,
-                        &part,
-                        &mut bufs,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap()
-                    .1
-                }
-            })
-            .collect();
-        assert_eq!(exhausted[0].visited_pairs, exhausted[1].visited_pairs);
-        assert_eq!(exhausted[0].levels, exhausted[1].levels);
+        let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
+        let (_, (_, visited, levels)) = run_interpreted(&sys, &part, u32::MAX, |_, _| false);
+        let cs = CompiledSystem::compile(&sys, Engine::CompiledDense, &budget).unwrap();
+        let mut bufs = SearchBuffers::new(ns, &budget);
+        let (_, (_, c_visited, c_levels)) =
+            run_compiled(&cs, &part, &mut bufs, u32::MAX, |_, _| false);
+        assert_eq!((visited, levels), (c_visited, c_levels));
+    }
+
+    #[test]
+    fn depth_cap_stops_expansion_at_level_k() {
+        // Capped at depth k, both engines discover exactly the pairs an
+        // exhaustive search finds within k levels, and no deeper ones.
+        let sys = flag_sys();
+        let u = sys.universe();
+        let budget = CompileBudget::default();
+        let ns = sys.state_count().unwrap();
+        let a = ObjSet::singleton(u.obj("x").unwrap());
+        let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
+        let full = run_interpreted(&sys, &part, u32::MAX, |_, _| false).1;
+        for engine in [Engine::CompiledDense, Engine::CompiledSparse] {
+            let cs = CompiledSystem::compile(&sys, engine, &budget).unwrap();
+            let mut bufs = SearchBuffers::new(ns, &budget);
+            for k in 0..=full.2 + 1 {
+                let (_, (_, visited, levels)) = run_interpreted(&sys, &part, k, |_, _| false);
+                assert_eq!(levels, k.min(full.2), "depth {k}");
+                assert!(visited <= full.1);
+                assert_eq!(visited == full.1, k >= full.2, "depth {k}");
+                let (_, (_, c_visited, c_levels)) =
+                    run_compiled(&cs, &part, &mut bufs, k, |_, _| false);
+                assert_eq!(
+                    (c_visited, c_levels),
+                    (visited, levels),
+                    "{engine:?} depth {k}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1141,51 +980,14 @@ mod tests {
                     let goal =
                         |c1: u64, c2: u64| (c1 / b_stride) % b_dom != (c2 / b_stride) % b_dom;
                     let mut fresh = SearchBuffers::new(ns, &budget);
-                    let want = compiled_search(
-                        &cs,
-                        &part,
-                        &mut fresh,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        goal,
-                    )
-                    .unwrap();
-                    let got = compiled_search(
-                        &cs,
-                        &part,
-                        &mut reused,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        goal,
-                    )
-                    .unwrap();
-                    assert_eq!(got.1, want.1, "stats diverge for {src} / {engine:?}");
-                    assert_eq!(
-                        got.0.map(|w| (w.history, w.sigma1, w.sigma2)),
-                        want.0.map(|w| (w.history, w.sigma1, w.sigma2)),
-                        "witness diverges for {src} / {engine:?}"
-                    );
+                    let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, goal);
+                    let got = run_compiled(&cs, &part, &mut reused, u32::MAX, goal);
+                    assert_eq!(got, want, "early exit diverges for {src} / {engine:?}");
                     // Exhaustive search.
                     let mut fresh = SearchBuffers::new(ns, &budget);
-                    let want = compiled_search(
-                        &cs,
-                        &part,
-                        &mut fresh,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap();
-                    let got = compiled_search(
-                        &cs,
-                        &part,
-                        &mut reused,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap();
-                    assert_eq!(got.1, want.1, "exhaustive stats diverge for {src}");
+                    let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, |_, _| false);
+                    let got = run_compiled(&cs, &part, &mut reused, u32::MAX, |_, _| false);
+                    assert_eq!(got, want, "exhaustive search diverges for {src}");
                 }
             }
         }
@@ -1204,7 +1006,7 @@ mod tests {
             max_dense_pair_bits: 0,
         };
         let out = q(&Phi::True, &a, b).budget(tiny).run_on(&sys).unwrap();
-        assert_eq!(out.stats.unwrap().engine, "compiled-sparse");
+        assert_eq!(out.report.engine, "compiled-sparse");
         assert!(out.holds());
     }
 }

@@ -15,6 +15,7 @@ use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::oracle::Oracle;
 use crate::problem::Problem;
+use crate::reach::SearchLimits;
 use crate::system::System;
 use crate::universe::{ObjId, ObjSet};
 
@@ -89,7 +90,14 @@ pub fn unique_maximal_independent_solution_with(
             .iter()
             .map(|class| -> Result<bool> {
                 let part = SatPartition::from_classes(vec![class.clone()]);
-                Ok(oracle.depends_partition(&part, sink)?.0.is_none())
+                let (witness, _) = oracle.depends_partition(
+                    &part,
+                    sink,
+                    &SearchLimits::NONE,
+                    u32::MAX,
+                    oracle.sink_ref(),
+                )?;
+                Ok(witness.is_none())
             })
             .collect::<Vec<_>>()
     })
@@ -192,7 +200,14 @@ pub fn maximal_value_constraints(
                 }
                 codes.sort_unstable();
                 let part = SatPartition::from_codes(u, &codes, &a);
-                Ok(oracle.depends_partition(&part, beta)?.0.is_none())
+                let (witness, _) = oracle.depends_partition(
+                    &part,
+                    beta,
+                    &SearchLimits::NONE,
+                    u32::MAX,
+                    oracle.sink_ref(),
+                )?;
+                Ok(witness.is_none())
             })
             .collect::<Vec<_>>()
     })
@@ -402,7 +417,7 @@ mod tests {
         assert!(stats.classes >= 1);
         assert_eq!(stats.searches, stats.classes);
         // Same extensional result as the pre-Oracle sequential path:
-        // one per-cylinder `reach::depends` call per class.
+        // one one-shot β query per cylinder class.
         let n = sys.state_count().unwrap();
         let mut expected = StateSet::new(n);
         for class in crate::depend::classes(&sys, &Phi::True, &ObjSet::singleton(a)).unwrap() {

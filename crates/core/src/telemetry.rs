@@ -171,6 +171,16 @@ impl QueryReport {
             rows_materialized: 0,
         }
     }
+
+    /// Folds one row's search into a matrix query's report: counts add
+    /// up, depth is the deepest row's.
+    pub(crate) fn absorb(&mut self, row: &QueryReport) {
+        self.visited_pairs += row.visited_pairs;
+        self.pair_expansions += row.pair_expansions;
+        self.levels = self.levels.max(row.levels);
+        self.rows_reused += row.rows_reused;
+        self.rows_materialized += row.rows_materialized;
+    }
 }
 
 impl QueryEvent {
@@ -330,40 +340,21 @@ impl<W: Write + Send> Sink for JsonLinesSink<W> {
     }
 }
 
-/// Hot-path counters accumulated by one search, independent of whether a
-/// sink is attached (plain integer adds).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct TraceCounters {
-    /// Pair expansions attempted (frontier pairs × operations).
-    pub expansions: u64,
-    /// Sparse successor rows served from the memo.
-    pub rows_reused: u64,
-    /// Sparse successor rows interpreted and memoised.
-    pub rows_materialized: u64,
-}
-
-impl TraceCounters {
-    pub(crate) fn absorb(&mut self, other: TraceCounters) {
-        self.expansions += other.expansions;
-        self.rows_reused += other.rows_reused;
-        self.rows_materialized += other.rows_materialized;
-    }
-}
-
 /// Per-search instrumentation context threaded through the engines: an
-/// optional sink plus the running counters. [`Trace::disabled`] is the
-/// uninstrumented fast path — every emission site is a single
-/// `is_some` branch and the event is never constructed.
+/// optional sink plus the search's cost record, which the engines fill
+/// whether or not a sink is attached (plain integer adds).
+/// [`Trace::disabled`] is the uninstrumented fast path — every emission
+/// site is a single `is_some` branch and the event is never constructed.
 pub(crate) struct Trace<'a> {
     pub sink: Option<&'a dyn Sink>,
-    pub counters: TraceCounters,
+    pub report: QueryReport,
 }
 
 impl<'a> Trace<'a> {
     pub(crate) fn new(sink: Option<&'a dyn Sink>) -> Trace<'a> {
         Trace {
             sink,
-            counters: TraceCounters::default(),
+            report: QueryReport::empty("none"),
         }
     }
 
@@ -428,7 +419,7 @@ mod tests {
     fn disabled_trace_emits_nothing_and_counts() {
         let mut t = Trace::disabled();
         t.emit(|| unreachable!("no sink attached"));
-        t.counters.expansions += 7;
-        assert_eq!(t.counters.expansions, 7);
+        t.report.pair_expansions += 7;
+        assert_eq!(t.report.pair_expansions, 7);
     }
 }

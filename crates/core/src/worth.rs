@@ -92,7 +92,7 @@ impl fmt::Display for WorthDisplay<'_> {
 }
 
 /// Computes `Worth(φ)` over singleton sources: one pair-reachability sweep
-/// per object, batched through [`crate::reach::sinks_matrix`] so a single
+/// per object, batched through [`crate::query::Query::matrix`] so a single
 /// Sat(φ) enumeration and one compiled system serve every row.
 pub fn worth(sys: &System, phi: &Phi) -> Result<Worth> {
     let objects: Vec<ObjId> = sys.universe().objects().collect();

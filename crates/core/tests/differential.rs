@@ -1,18 +1,17 @@
-//! Differential tests: the compiled pair-search engines must be
+//! Differential tests: every engine behind [`Query`] must be
 //! observationally identical to the interpreted reference on valid
-//! systems — same verdicts, same (minimal-length) witnesses — across
-//! random systems and every example system from the paper.
-//!
-//! This suite deliberately drives the deprecated `reach::*` free
-//! functions: they are the sanctioned compatibility surface and must
-//! keep answering byte-identically until removed.
-#![allow(deprecated)]
+//! systems — same verdicts, same (minimal-length) witnesses, same sink
+//! sets — across random systems and every example system from the
+//! paper. Bounded queries are checked against brute-force history
+//! enumeration (the Def 2-7 check on every history up to the bound).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_core::reach::{self, DependsWitness};
+use sd_core::depend::strongly_depends_after;
+use sd_core::history::histories_up_to;
 use sd_core::{
-    examples, Cmd, CompileBudget, Domain, Engine, Expr, ObjSet, Op, Phi, State, System, Universe,
+    examples, Cmd, CompileBudget, DependsWitness, Domain, Engine, Expr, History, ObjId, ObjSet, Op,
+    Phi, Query, QueryOutcome, State, System, Universe,
 };
 
 const BUDGET: CompileBudget = CompileBudget {
@@ -21,6 +20,35 @@ const BUDGET: CompileBudget = CompileBudget {
 };
 
 const COMPILED: [Engine; 3] = [Engine::Auto, Engine::CompiledDense, Engine::CompiledSparse];
+
+const ENGINES: [Engine; 4] = [
+    Engine::Interpreted,
+    Engine::Auto,
+    Engine::CompiledDense,
+    Engine::CompiledSparse,
+];
+
+/// Runs `q` one-shot on `engine` under the shared test budget.
+fn run(sys: &System, q: &Query, engine: Engine) -> QueryOutcome {
+    q.clone().engine(engine).budget(BUDGET).run_on(sys).unwrap()
+}
+
+/// The brute-force reference for `bounded(k)`: the first history of
+/// length ≤ k, in enumeration order, after which β strongly depends on
+/// A, with the state pair the Def 2-7 check found.
+fn enumerate_bounded(
+    sys: &System,
+    phi: &Phi,
+    a: &ObjSet,
+    beta: ObjId,
+    k: usize,
+) -> Option<(History, State, State)> {
+    histories_up_to(sys.num_ops(), k).find_map(|h| {
+        strongly_depends_after(sys, phi, a, beta, &h)
+            .unwrap()
+            .map(|w| (h, w.sigma1, w.sigma2))
+    })
+}
 
 /// A random valid system: `n` objects over a common `k`-valued domain,
 /// with guarded copy/constant operations (always in-domain, so
@@ -75,13 +103,7 @@ fn witness_fields(w: Option<DependsWitness>) -> Option<(usize, State, State)> {
 
 /// Replays a witness: both states satisfy φ, differ only at A, and the
 /// history drives them to different β values.
-fn assert_witness_valid(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: sd_core::ObjId,
-    w: &DependsWitness,
-) {
+fn assert_witness_valid(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId, w: &DependsWitness) {
     assert!(phi.holds(sys, &w.sigma1).unwrap());
     assert!(phi.holds(sys, &w.sigma2).unwrap());
     assert!(w.sigma1.eq_except(&w.sigma2, a));
@@ -96,15 +118,16 @@ fn assert_witness_valid(
 fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     let u = sys.universe();
     let objects: Vec<_> = u.objects().collect();
+    let query = Query::new(phi.clone(), a.clone());
     for &beta in &objects {
-        let reference =
-            reach::depends_with(sys, phi, a, beta, Engine::Interpreted, &BUDGET).unwrap();
+        let q = query.clone().beta(beta);
+        let reference = run(sys, &q, Engine::Interpreted).into_witness();
         if let Some(w) = &reference {
             assert_witness_valid(sys, phi, a, beta, w);
         }
         let reference = witness_fields(reference);
         for engine in COMPILED {
-            let got = reach::depends_with(sys, phi, a, beta, engine, &BUDGET).unwrap();
+            let got = run(sys, &q, engine).into_witness();
             if let Some(w) = &got {
                 assert_witness_valid(sys, phi, a, beta, w);
             }
@@ -116,19 +139,16 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
         }
     }
     // Set target: the first two objects simultaneously.
-    let b: ObjSet = objects.iter().take(2).copied().collect();
-    let reference = witness_fields(
-        reach::depends_set_with(sys, phi, a, &b, Engine::Interpreted, &BUDGET).unwrap(),
-    );
+    let q = query.clone().set(objects.iter().take(2).copied().collect());
+    let reference = witness_fields(run(sys, &q, Engine::Interpreted).into_witness());
     for engine in COMPILED {
-        let got =
-            witness_fields(reach::depends_set_with(sys, phi, a, &b, engine, &BUDGET).unwrap());
-        assert_eq!(got, reference, "depends_set mismatch: {engine:?}");
+        let got = witness_fields(run(sys, &q, engine).into_witness());
+        assert_eq!(got, reference, "set-target mismatch: {engine:?}");
     }
     // Sinks row.
-    let reference = reach::sinks_with(sys, phi, a, Engine::Interpreted, &BUDGET).unwrap();
+    let reference = run(sys, &query, Engine::Interpreted).into_sinks();
     for engine in COMPILED {
-        let got = reach::sinks_with(sys, phi, a, engine, &BUDGET).unwrap();
+        let got = run(sys, &query, engine).into_sinks();
         assert_eq!(got, reference, "sinks mismatch: {engine:?}");
     }
 }
@@ -154,10 +174,11 @@ fn engines_agree_on_random_systems() {
 
 #[test]
 fn exact_search_agrees_with_bounded_enumeration() {
-    // depends_bounded enumerates histories by ascending length, so when
-    // the exact witness fits the bound both must find one of the same
+    // The enumeration visits histories by ascending length, so when the
+    // exact witness fits the bound both must find one of the same
     // minimal length; when the exact search finds nothing, neither can
-    // the bounded one.
+    // the enumeration. `bounded(BOUND)` must agree with the enumeration
+    // on every engine, and return the exact witness when it fits.
     const BOUND: usize = 3;
     for seed in 0..40u64 {
         let sys = random_system(seed);
@@ -167,26 +188,78 @@ fn exact_search_agrees_with_bounded_enumeration() {
         let phi = random_phi(&sys, &mut rng);
         let a = ObjSet::singleton(ids[rng.gen_range(0..ids.len())]);
         for &beta in &ids {
-            let exact = reach::depends(&sys, &phi, &a, beta).unwrap();
-            let bounded = reach::depends_bounded(&sys, &phi, &a, beta, BOUND).unwrap();
-            match (&exact, &bounded) {
+            let q = Query::new(phi.clone(), a.clone()).beta(beta);
+            let exact = q.run_on(&sys).unwrap().into_witness();
+            let brute = enumerate_bounded(&sys, &phi, &a, beta, BOUND);
+            match (&exact, &brute) {
                 (None, None) => {}
-                (None, Some(w)) => panic!(
-                    "bounded found a length-{} witness the exact search missed",
-                    w.history.len()
+                (None, Some((h, _, _))) => panic!(
+                    "enumeration found a length-{} witness the exact search missed",
+                    h.len()
                 ),
                 (Some(e), None) => assert!(
                     e.history.len() > BOUND,
                     "exact witness of length {} not found by bound {BOUND}",
                     e.history.len()
                 ),
-                (Some(e), Some(b)) => {
+                (Some(e), Some((h, sigma1, sigma2))) => {
                     assert_eq!(
                         e.history.len(),
-                        b.history.len(),
+                        h.len(),
                         "witness lengths disagree (both must be minimal)"
                     );
-                    assert_witness_valid(&sys, &phi, &a, beta, b);
+                    let w = DependsWitness {
+                        history: h.clone(),
+                        sigma1: sigma1.clone(),
+                        sigma2: sigma2.clone(),
+                    };
+                    assert_witness_valid(&sys, &phi, &a, beta, &w);
+                }
+            }
+            for engine in ENGINES {
+                let bounded = run(&sys, &q.clone().bounded(BOUND), engine).into_witness();
+                assert_eq!(
+                    bounded.as_ref().map(|w| w.history.len()),
+                    brute.as_ref().map(|(h, _, _)| h.len()),
+                    "bounded verdict or length differs from the enumeration: {engine:?}"
+                );
+                if let Some(w) = &bounded {
+                    assert_witness_valid(&sys, &phi, &a, beta, w);
+                    assert_eq!(witness_fields(bounded), witness_fields(exact.clone()));
+                }
+            }
+        }
+    }
+}
+
+/// For every engine on the paper examples, `bounded(k)` returns the
+/// unbounded witness when that witness has length ≤ k, and nothing
+/// otherwise.
+#[test]
+fn bounded_witnesses_are_the_unbounded_ones() {
+    let systems = [
+        examples::copy_system(3).unwrap(),
+        examples::threshold_system(3).unwrap(),
+        examples::guarded_copy_system(2).unwrap(),
+        examples::flag_copy_system(2).unwrap(),
+        examples::nontransitive_system(2).unwrap(),
+        examples::left_right_system(2).unwrap(),
+        examples::m1m2_system(2).unwrap(),
+        examples::oscillator_system(2).unwrap(),
+    ];
+    for sys in &systems {
+        let ids: Vec<_> = sys.universe().objects().collect();
+        for &alpha in &ids {
+            for &beta in &ids {
+                let q = Query::new(Phi::True, ObjSet::singleton(alpha)).beta(beta);
+                for engine in ENGINES {
+                    let exact = witness_fields(run(sys, &q, engine).into_witness());
+                    for k in 0..=3usize {
+                        let bounded =
+                            witness_fields(run(sys, &q.clone().bounded(k), engine).into_witness());
+                        let want = exact.clone().filter(|(len, _, _)| *len <= k);
+                        assert_eq!(bounded, want, "bounded({k}) on {engine:?}");
+                    }
                 }
             }
         }
@@ -221,13 +294,13 @@ fn engines_agree_on_paper_examples() {
             check_configuration(sys, &Phi::True, a);
         }
         // The batched matrix agrees with interpreted row-by-row sinks.
+        let matrix = Query::matrix(Phi::True, sources.clone());
         for engine in COMPILED {
-            let rows =
-                reach::sinks_matrix_with(sys, &Phi::True, &sources, engine, &BUDGET).unwrap();
-            for (a, row) in sources.iter().zip(&rows) {
-                let reference =
-                    reach::sinks_with(sys, &Phi::True, a, Engine::Interpreted, &BUDGET).unwrap();
-                assert_eq!(*row, reference, "sinks_matrix row mismatch for {a:?}");
+            let rows = run(sys, &matrix, engine).into_rows().unwrap();
+            for (a, row) in sources.iter().zip(rows) {
+                let single = Query::new(Phi::True, a.clone());
+                let reference = run(sys, &single, Engine::Interpreted).into_sinks();
+                assert_eq!(Some(row), reference, "matrix row mismatch for {a:?}");
             }
         }
     }

@@ -413,10 +413,12 @@ fn oracle_depends_matches_interpreted() {
             a.insert(ids[rng.gen_range(0..ids.len())]);
         }
         let oracle = Oracle::new(&sys).unwrap();
+        let shared = |q: Query| q.run(&oracle).unwrap();
+        let query = Query::new(phi.clone(), a.clone());
         for &beta in &ids {
             let reference = witness_fields(interp_depends(&sys, &phi, &a, beta));
-            let got = witness_fields(oracle.depends(&phi, &a, beta).unwrap());
-            assert_eq!(got, reference, "oracle.depends mismatch at seed {seed}");
+            let got = witness_fields(shared(query.clone().beta(beta)).into_witness());
+            assert_eq!(got, reference, "shared depends mismatch at seed {seed}");
         }
         let b: ObjSet = ids.iter().take(2).copied().collect();
         let reference = witness_fields(
@@ -428,8 +430,8 @@ fn oracle_depends_matches_interpreted() {
                 .unwrap()
                 .into_witness(),
         );
-        let got = witness_fields(oracle.depends_set(&phi, &a, &b).unwrap());
-        assert_eq!(got, reference, "oracle.depends_set mismatch at seed {seed}");
+        let got = witness_fields(shared(query.clone().set(b)).into_witness());
+        assert_eq!(got, reference, "shared set-target mismatch at seed {seed}");
         let reference = Query::new(phi.clone(), a.clone())
             .engine(Engine::Interpreted)
             .budget(BUDGET)
@@ -437,8 +439,8 @@ fn oracle_depends_matches_interpreted() {
             .unwrap()
             .into_sinks()
             .expect("a sinks query returns a sink set");
-        let got = oracle.sinks(&phi, &a).unwrap();
-        assert_eq!(got, reference, "oracle.sinks mismatch at seed {seed}");
+        let got = shared(query).into_sinks().unwrap();
+        assert_eq!(got, reference, "shared sinks mismatch at seed {seed}");
         // One compile serves every query above.
         assert!(oracle.stats().compiles <= 1);
     }

@@ -4,7 +4,7 @@
 //! Every case must produce a structured error or a well-defined answer —
 //! never a panic.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sd_core::{examples, CompileBudget, Error, ObjId, ObjSet, Oracle, Phi, Query};
 
@@ -120,6 +120,44 @@ fn bounded_zero_permits_only_the_empty_history() {
         .run_on(&sys)
         .unwrap();
     assert!(out.into_witness().is_some());
+}
+
+#[test]
+fn large_bounds_cost_no_more_than_the_unbounded_search() {
+    // A bound is a depth cap on the pair search, not an enumeration of
+    // |Δ|^k histories: k = 40 finishes as fast as the unbounded query.
+    let sys = examples::flag_copy_system(3).unwrap();
+    let u = sys.universe();
+    let start = Instant::now();
+    let out = Query::new(Phi::True, ObjSet::singleton(u.obj("beta").unwrap()))
+        .beta(u.obj("x").unwrap())
+        .bounded(40)
+        .timeout(Duration::from_secs(2))
+        .run_on(&sys)
+        .unwrap();
+    let took = start.elapsed();
+    assert!(!out.holds(), "nothing flows from beta into x");
+    assert!(
+        out.report.visited_pairs > 0,
+        "the report names the real search"
+    );
+    assert!(
+        took < Duration::from_millis(100),
+        "bounded(40) took {took:?}"
+    );
+}
+
+#[test]
+fn pair_budget_applies_to_bounded_queries() {
+    let sys = examples::flag_copy_system(3).unwrap();
+    let u = sys.universe();
+    let err = Query::new(Phi::True, ObjSet::singleton(u.obj("beta").unwrap()))
+        .beta(u.obj("x").unwrap())
+        .bounded(3)
+        .max_pairs(0)
+        .run_on(&sys)
+        .unwrap_err();
+    assert!(matches!(err, Error::BudgetExhausted { .. }), "{err:?}");
 }
 
 #[test]

@@ -27,7 +27,11 @@ fn cold_matrix_sweep_compiles_once_and_misses_once() {
     )
     .unwrap();
 
-    let rows = oracle.sinks_matrix(&Phi::True, &sources_of(&sys)).unwrap();
+    let rows = Query::matrix(Phi::True, sources_of(&sys))
+        .run(&oracle)
+        .unwrap()
+        .into_rows()
+        .unwrap();
     assert_eq!(rows.len(), sys.universe().num_objects());
 
     let compile_starts = sink.count(|e| matches!(e, QueryEvent::CompileStart { .. }));
@@ -78,9 +82,15 @@ fn warm_matrix_sweep_hits_partition_cache_without_recompiling() {
     .unwrap();
     let sources = sources_of(&sys);
 
-    let cold = oracle.sinks_matrix(&Phi::True, &sources).unwrap();
-    let warm = oracle.sinks_matrix(&Phi::True, &sources).unwrap();
-    assert_eq!(cold, warm, "warm answers must be identical");
+    let matrix = Query::matrix(Phi::True, sources);
+    let cold = matrix.run(&oracle).unwrap();
+    let warm = matrix.run(&oracle).unwrap();
+    assert!(!cold.report.partition_cached && warm.report.partition_cached);
+    assert_eq!(
+        cold.into_rows(),
+        warm.into_rows(),
+        "warm answers must be identical"
+    );
 
     assert!(
         sink.count(|e| matches!(e, QueryEvent::PartitionHit { .. })) > 0,

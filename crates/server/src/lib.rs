@@ -53,5 +53,5 @@ pub use crate::proto::{
     ErrorKind, Frame, QueryKind, QueryReq, Request, ResponseFrame, SystemDesc, WireError, MAX_FRAME,
 };
 pub use crate::registry::{Registry, SystemEntry};
-pub use crate::server::{Config, ServeHandle, ServerStats};
+pub use crate::server::{Config, ServeHandle};
 pub use crate::wire::Json;

@@ -221,7 +221,8 @@ pub struct QueryReq {
     pub set: Vec<String>,
     /// Source rows for `sinks_matrix`.
     pub sources: Vec<Vec<String>>,
-    /// History-length bound (β-target only; brute-force enumeration).
+    /// History-length bound (β-target only): the pair search stops
+    /// expanding after this many levels.
     pub bound: Option<usize>,
     /// Per-request deadline in milliseconds.
     pub timeout_ms: Option<u64>,

@@ -122,19 +122,6 @@ impl Default for Config {
     }
 }
 
-/// Aggregate request counters, surfaced by `stats`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Requests parsed (including failed ones).
-    pub requests: u64,
-    /// Error responses sent.
-    pub errors: u64,
-    /// Queries currently executing in the worker pool.
-    pub inflight: u64,
-}
-
 struct Shared {
     /// The listener's bound address, which the shutdown wake dials.
     addr: SocketAddr,

@@ -141,6 +141,21 @@ fn limit_errors_are_structured_and_do_not_disturb_neighbours() {
     handle.shutdown();
 }
 
+/// A huge history bound is a depth cap on the pair search, not |Δ|^k
+/// enumerated histories: `bound: 40` answers (no flow from beta into x)
+/// well inside its deadline instead of holding a worker until `timeout`.
+#[test]
+fn large_bounds_answer_instead_of_timing_out() {
+    let handle = spawn(None);
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let key = c.register(flag_copy_desc()).unwrap();
+    let mut req = QueryReq::depends(key, vec!["beta".into()], "x");
+    req.bound = Some(40);
+    req.timeout_ms = Some(2000);
+    assert!(!c.depends(req).unwrap(), "bounded search must answer");
+    handle.shutdown();
+}
+
 /// Malformed frames — bad JSON, unknown methods, oversized lines,
 /// unknown systems — each get an error response and the connection
 /// stays usable for the next request.

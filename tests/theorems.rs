@@ -331,15 +331,26 @@ fn bfs_matches_bounded_enumeration() {
             .run_on(&sys)
             .unwrap()
             .into_witness();
-        let brute = Query::new(phi.clone(), a.clone())
+        // Brute force: the Def 2-7 check on every history of length ≤ 3.
+        let brute = history::histories_up_to(sys.num_ops(), 3).find_map(|h| {
+            depend::strongly_depends_after(&sys, &phi, &a, beta, &h)
+                .unwrap()
+                .map(|_| h.len())
+        });
+        if brute.is_some() {
+            assert!(exact.is_some(), "BFS missed a bounded flow (seed {i})");
+        }
+        let bounded = Query::new(phi.clone(), a.clone())
             .beta(beta)
             .bounded(3)
             .run_on(&sys)
             .unwrap()
             .into_witness();
-        if brute.is_some() {
-            assert!(exact.is_some(), "BFS missed a bounded flow (seed {i})");
-        }
+        assert_eq!(
+            bounded.map(|w| w.history.len()),
+            brute,
+            "bounded search disagrees with the enumeration (seed {i})"
+        );
         if let Some(w) = exact {
             // Replay the witness.
             let o1 = sys.run(&w.sigma1, &w.history).unwrap();
