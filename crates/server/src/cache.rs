@@ -16,8 +16,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Hit/miss/eviction counters, surfaced through `stats` responses and
-/// the telemetry sink.
+/// Hit/miss/eviction counters, surfaced through the `metrics` scrape
+/// (the `cache` group).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

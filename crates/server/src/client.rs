@@ -1,8 +1,8 @@
 //! A blocking client for the sd-server protocol.
 //!
 //! One request in flight per connection; ids are assigned
-//! monotonically and checked against the response. Both `sdcheck
-//! client` and the load-generator bench are built on this.
+//! monotonically and checked against the response. `sdcheck client`
+//! and the end-to-end tests are built on this.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -173,11 +173,6 @@ impl Client {
             .iter()
             .filter_map(|o| o.as_str().map(str::to_string))
             .collect())
-    }
-
-    /// Fetches the server counters snapshot.
-    pub fn stats(&mut self) -> Result<Json, ClientError> {
-        self.call(Request::Stats).map(|r| r.body)
     }
 
     /// Scrapes the metric families as structured JSON (the response's

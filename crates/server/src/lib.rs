@@ -30,7 +30,7 @@
 //!   pool, per-request deadlines/budgets, graceful draining shutdown,
 //!   JSON-lines access log;
 //! - [`client`] — a blocking client library (used by `sdcheck client`
-//!   and the load-generator bench).
+//!   and the end-to-end tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,16 +22,18 @@
 //! on the request path. Quantiles (p50/p90/p95/p99) and gauges
 //! (uptime, in-flight, queue depth, worker utilization) are derived at
 //! scrape time by the `metrics` protocol method, which renders either
-//! structured JSON or a Prometheus text exposition. The slow-query ring
-//! is behind a `Mutex`, but is touched only by requests already slower
-//! than the threshold.
+//! structured JSON or a Prometheus text exposition. Both formats are
+//! written from one table, `FAMILIES`: each row defines a family once
+//! (JSON place, Prometheus name and HELP, kind, labels, reader). The
+//! slow-query ring is behind a `Mutex`, but is touched only by requests
+//! already slower than the threshold.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime};
 
-use sd_core::{Counter, Histogram, JsonBuf, QueryEvent, QueryReport, Sink};
+use sd_core::{Counter, Histogram, HistogramSnapshot, JsonBuf, QueryEvent, QueryReport, Sink};
 
 use crate::cache::CacheStats;
 use crate::proto::ErrorKind;
@@ -50,8 +52,6 @@ pub enum Method {
     Sinks,
     /// `sinks_matrix`.
     SinksMatrix,
-    /// `stats`.
-    Stats,
     /// `metrics`.
     Metrics,
     /// `slowlog`.
@@ -64,7 +64,20 @@ pub enum Method {
 }
 
 /// Number of [`Method`] variants.
-pub const METHODS: usize = 10;
+pub const METHODS: usize = 9;
+
+/// Method label values, indexed like [`Method::ALL`].
+const METHOD_NAMES: [&str; METHODS] = [
+    "ping",
+    "register",
+    "depends",
+    "sinks",
+    "sinks_matrix",
+    "metrics",
+    "slowlog",
+    "shutdown",
+    "unknown",
+];
 
 impl Method {
     /// Every method, in index order.
@@ -74,7 +87,6 @@ impl Method {
         Method::Depends,
         Method::Sinks,
         Method::SinksMatrix,
-        Method::Stats,
         Method::Metrics,
         Method::SlowLog,
         Method::Shutdown,
@@ -83,18 +95,7 @@ impl Method {
 
     /// The label value.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Method::Ping => "ping",
-            Method::Register => "register",
-            Method::Depends => "depends",
-            Method::Sinks => "sinks",
-            Method::SinksMatrix => "sinks_matrix",
-            Method::Stats => "stats",
-            Method::Metrics => "metrics",
-            Method::SlowLog => "slowlog",
-            Method::Shutdown => "shutdown",
-            Method::Unknown => "unknown",
-        }
+        METHOD_NAMES[self.idx()]
     }
 
     /// The metric method for a query kind.
@@ -106,42 +107,29 @@ impl Method {
         }
     }
 
+    /// The position in [`Method::ALL`]: variants are declared in that
+    /// order, so this is the discriminant.
     fn idx(self) -> usize {
-        Method::ALL.iter().position(|m| *m == self).unwrap_or(0)
+        self as usize
     }
 }
 
-/// Request outcome label values: `"ok"` plus every [`ErrorKind`].
-pub const OUTCOMES: [&str; 12] = [
-    "ok",
-    "parse",
-    "protocol",
-    "too_large",
-    "unknown_method",
-    "unknown_system",
-    "invalid",
-    "timeout",
-    "budget",
-    "overloaded",
-    "shutting_down",
-    "internal",
-];
-
-fn outcome_idx(outcome: Option<ErrorKind>) -> usize {
-    match outcome {
-        None => 0,
-        Some(ErrorKind::Parse) => 1,
-        Some(ErrorKind::Protocol) => 2,
-        Some(ErrorKind::TooLarge) => 3,
-        Some(ErrorKind::UnknownMethod) => 4,
-        Some(ErrorKind::UnknownSystem) => 5,
-        Some(ErrorKind::Invalid) => 6,
-        Some(ErrorKind::Timeout) => 7,
-        Some(ErrorKind::Budget) => 8,
-        Some(ErrorKind::Overloaded) => 9,
-        Some(ErrorKind::ShuttingDown) => 10,
-        Some(ErrorKind::Internal) => 11,
+/// Request outcome label values: `"ok"`, then every [`ErrorKind`] in
+/// [`ErrorKind::ALL`] order.
+pub const OUTCOMES: [&str; 12] = {
+    let mut out = ["ok"; 12];
+    let mut i = 0;
+    while i < ErrorKind::ALL.len() {
+        out[i + 1] = ErrorKind::ALL[i].as_str();
+        i += 1;
     }
+    out
+};
+
+/// The index into [`OUTCOMES`]: `ErrorKind` variants are declared in
+/// [`ErrorKind::ALL`] order.
+fn outcome_idx(outcome: Option<ErrorKind>) -> usize {
+    outcome.map_or(0, |k| k as usize + 1)
 }
 
 /// The label for an outcome.
@@ -169,6 +157,9 @@ pub enum Phase {
 /// Number of phases.
 pub const PHASES: usize = 6;
 
+/// Phase label values, indexed like [`Phase::ALL`].
+const PHASE_NAMES: [&str; PHASES] = ["parse", "cache", "compile", "search", "serialize", "write"];
+
 impl Phase {
     /// Every phase, in pipeline order.
     pub const ALL: [Phase; PHASES] = [
@@ -182,25 +173,12 @@ impl Phase {
 
     /// The label value (`"parse"`, `"cache"`, …).
     pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Parse => "parse",
-            Phase::Cache => "cache",
-            Phase::Compile => "compile",
-            Phase::Search => "search",
-            Phase::Serialize => "serialize",
-            Phase::Write => "write",
-        }
+        PHASE_NAMES[self.idx()]
     }
 
+    /// The position in [`Phase::ALL`] (the discriminant).
     fn idx(self) -> usize {
-        match self {
-            Phase::Parse => 0,
-            Phase::Cache => 1,
-            Phase::Compile => 2,
-            Phase::Search => 3,
-            Phase::Serialize => 4,
-            Phase::Write => 5,
-        }
+        self as usize
     }
 }
 
@@ -418,7 +396,7 @@ fn engine_idx(engine: &str) -> usize {
 
 /// The server's metric families. One instance per server, shared by
 /// every connection/worker thread; all recording is lock-free. When
-/// constructed disabled (`--no-metrics`, the A/B bench baseline) every
+/// constructed disabled (`--no-metrics`, the overhead A/B baseline) every
 /// recording call returns immediately.
 pub struct ServerMetrics {
     enabled: bool,
@@ -552,8 +530,7 @@ impl ServerMetrics {
         self.slow.tail(limit)
     }
 
-    /// Duration snapshot for `(method, cold)` — the bench reads server-
-    /// side percentiles through this.
+    /// Duration snapshot for `(method, cold)`.
     pub fn duration_snapshot(&self, method: Method, cold: bool) -> sd_core::HistogramSnapshot {
         self.durations[method.idx()][usize::from(cold)].snapshot()
     }
@@ -563,363 +540,105 @@ impl ServerMetrics {
         self.requests[method.idx()][outcome_idx(outcome)].get()
     }
 
-    /// Writes the metric families as JSON fields into an open object.
-    /// `g` carries the scrape-time gauges the metrics registry does not
-    /// own (queue depth, cache/registry state, …).
+    /// Writes each `FAMILIES` group, in order, as a JSON object field
+    /// into an open object (the top-level group writes its fields
+    /// directly). `g` carries the scrape-time gauges the registry does
+    /// not own (queue depth, cache/registry state, …).
     pub fn json_fields(&self, g: &ScrapeGauges, j: &mut JsonBuf) {
-        j.bool_field("enabled", self.enabled)
-            .u64_field("uptime_s", self.uptime_s())
-            .u64_field("slow_ms", self.slow_ns / 1_000_000);
-        j.begin_obj_field("gauges")
-            .u64_field("connections_total", g.connections_total)
-            .u64_field("connections_open", g.connections_open)
-            .u64_field("inflight", g.inflight)
-            .u64_field("queue_depth", g.queue_depth)
-            .u64_field("workers", g.workers)
-            .u64_field("workers_busy", g.inflight)
-            .end_obj();
-        j.begin_obj_field("requests");
-        for m in Method::ALL {
-            let any = (0..OUTCOMES.len()).any(|o| self.requests[m.idx()][o].get() != 0);
-            if !any {
-                continue;
+        for &(group, families) in &FAMILIES {
+            if !group.is_empty() {
+                j.begin_obj_field(group);
             }
-            j.begin_obj_field(m.as_str());
-            for (o, label) in OUTCOMES.iter().enumerate() {
-                let n = self.requests[m.idx()][o].get();
-                if n != 0 {
-                    j.u64_field(label, n);
+            let f = &families[0];
+            // The cells along `d`: a histogram cell as an object, phases
+            // whole (a breakdown should visibly sum), others when nonzero.
+            let cells = |j: &mut JsonBuf, d: &Dim, cell: &dyn Fn(usize) -> Cell| {
+                for (c, key) in d.keys.iter().enumerate() {
+                    let v = f.value(self, g, cell(c));
+                    if let Kind::Histogram(read) = f.kind {
+                        if v != 0 {
+                            j.begin_obj_field(key);
+                            json_histogram(j, &read(self, cell(c)).snapshot());
+                            j.end_obj();
+                        }
+                    } else if v != 0 || *d == Dim::PHASE {
+                        j.u64_field(key, v);
+                    }
                 }
+            };
+            match *f.labels {
+                [] => {
+                    for f in families {
+                        let Json::Key(k) = f.json else { continue };
+                        match (f.kind, f.value(self, g, [0, 0])) {
+                            (Kind::Flag(_), v) => j.bool_field(k, v != 0),
+                            (_, v) => j.u64_field(k, v),
+                        };
+                    }
+                }
+                // Method-labelled families are the columns of one object
+                // per method, written when a gate column is nonzero.
+                [Dim::METHOD] => {
+                    for (mi, method) in METHOD_NAMES.iter().enumerate() {
+                        let gate = |f: &Family| {
+                            matches!(f.json, Json::Gate(_)) && f.value(self, g, [mi, 0]) != 0
+                        };
+                        if families.iter().any(gate) {
+                            j.begin_obj_field(method);
+                            for f in families {
+                                if let Json::Key(k) | Json::Gate(k) = f.json {
+                                    j.u64_field(k, f.value(self, g, [mi, 0]));
+                                }
+                            }
+                            j.end_obj();
+                        }
+                    }
+                }
+                [Dim::METHOD, ref d] => {
+                    for (mi, method) in METHOD_NAMES.iter().enumerate() {
+                        if (0..d.values.len()).any(|c| f.value(self, g, [mi, c]) != 0) {
+                            j.begin_obj_field(method);
+                            cells(j, d, &|c| [mi, c]);
+                            j.end_obj();
+                        }
+                    }
+                }
+                [ref d] => cells(j, d, &|c| [c, 0]),
+                _ => unreachable!("families have at most two label dimensions"),
             }
-            j.end_obj();
-        }
-        j.end_obj();
-        j.begin_obj_field("durations");
-        for m in Method::ALL {
-            let snaps = [
-                self.durations[m.idx()][1].snapshot(),
-                self.durations[m.idx()][0].snapshot(),
-            ];
-            if snaps.iter().all(|s| s.count == 0) {
-                continue;
-            }
-            j.begin_obj_field(m.as_str());
-            for (label, snap) in ["cold", "warm"].iter().zip(&snaps) {
-                if snap.count == 0 {
-                    continue;
-                }
-                j.begin_obj_field(label)
-                    .u64_field("count", snap.count)
-                    .u64_field("sum_ns", snap.sum)
-                    .u64_field("p50_ns", snap.quantile(50, 100))
-                    .u64_field("p90_ns", snap.quantile(90, 100))
-                    .u64_field("p95_ns", snap.quantile(95, 100))
-                    .u64_field("p99_ns", snap.quantile(99, 100));
-                j.begin_arr_field("buckets");
-                for (upper, n) in &snap.buckets {
-                    j.begin_arr_elem().u64_elem(*upper).u64_elem(*n).end_arr();
-                }
-                j.end_arr();
+            if !group.is_empty() {
                 j.end_obj();
             }
-            j.end_obj();
         }
-        j.end_obj();
-        j.begin_obj_field("phase_ns");
-        for m in Method::ALL {
-            let any = (0..PHASES).any(|p| self.phases[m.idx()][p].get() != 0);
-            if !any {
-                continue;
-            }
-            j.begin_obj_field(m.as_str());
-            for p in Phase::ALL {
-                j.u64_field(p.as_str(), self.phases[m.idx()][p.idx()].get());
-            }
-            j.end_obj();
-        }
-        j.end_obj();
-        j.begin_obj_field("costs");
-        for m in Method::ALL {
-            let i = m.idx();
-            if self.pair_expansions[i].get() == 0 && self.visited_pairs[i].get() == 0 {
-                continue;
-            }
-            j.begin_obj_field(m.as_str())
-                .u64_field("pair_expansions", self.pair_expansions[i].get())
-                .u64_field("visited_pairs", self.visited_pairs[i].get())
-                .u64_field("bfs_levels", self.bfs_levels[i].get())
-                .u64_field("rows_reused", self.rows_reused[i].get())
-                .u64_field("rows_materialized", self.rows_materialized[i].get())
-                .end_obj();
-        }
-        j.end_obj();
-        j.begin_obj_field("engines");
-        for (i, label) in ENGINES.iter().enumerate() {
-            let n = self.engine_runs[i].get();
-            if n != 0 {
-                j.u64_field(label, n);
-            }
-        }
-        j.end_obj();
-        j.begin_obj_field("oracle")
-            .u64_field("partition_hits", self.partition_hits.get())
-            .u64_field("partition_misses", self.partition_misses.get())
-            .u64_field("memo_rows_reused", self.memo_rows_reused.get())
-            .u64_field("memo_rows_materialized", self.memo_rows_materialized.get())
-            .u64_field("compiles", self.compiles.get())
-            .u64_field("compile_ns", self.compile_ns.get())
-            .end_obj();
-        j.begin_obj_field("cache")
-            .u64_field("hits", g.cache.hits)
-            .u64_field("misses", g.cache.misses)
-            .u64_field("insertions", g.cache.insertions)
-            .u64_field("evictions", g.cache.evictions)
-            .u64_field("entries", g.cache.entries)
-            .u64_field("capacity", g.cache.capacity)
-            .end_obj();
-        j.begin_obj_field("registry")
-            .u64_field("systems", g.registry_systems)
-            .u64_field("capacity", g.registry_cap)
-            .end_obj();
-        j.u64_field("access_log_dropped", self.access_dropped.get());
-        j.begin_obj_field("slowlog")
-            .u64_field("captured", self.slow.captured.get())
-            .u64_field("capacity", self.slow.cap as u64)
-            .end_obj();
     }
 
-    /// Renders the Prometheus text exposition (counter/gauge/histogram
-    /// families; histograms with cumulative `le` buckets over the
-    /// non-empty buckets plus `+Inf`, and derived p50/p90/p99 gauges).
+    /// Renders the Prometheus text exposition: for each `FAMILIES` row
+    /// with a Prometheus name, its `# HELP`/`# TYPE` header and samples.
     pub fn render_prom(&self, g: &ScrapeGauges) -> String {
         let mut out = String::with_capacity(4096);
-        let _ = writeln!(
-            out,
-            "# HELP sd_requests_total Requests handled, by method and outcome.\n\
-             # TYPE sd_requests_total counter"
-        );
-        for m in Method::ALL {
-            for (o, label) in OUTCOMES.iter().enumerate() {
-                let n = self.requests[m.idx()][o].get();
-                if n != 0 {
-                    let _ = writeln!(
-                        out,
-                        "sd_requests_total{{method=\"{}\",outcome=\"{label}\"}} {n}",
-                        m.as_str()
-                    );
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP sd_request_duration_ns Request wall time, successful requests only.\n\
-             # TYPE sd_request_duration_ns histogram"
-        );
-        let mut quantile_lines = String::new();
-        for m in Method::ALL {
-            for (cold, label) in [(1usize, "true"), (0, "false")] {
-                let snap = self.durations[m.idx()][cold].snapshot();
-                if snap.count == 0 {
+        for f in FAMILIES.iter().flat_map(|(_, families)| families.iter()) {
+            let Some((name, help)) = f.prom else { continue };
+            let kind = match f.kind {
+                Kind::Counter(_) => "counter",
+                Kind::Histogram(_) => "histogram",
+                Kind::Gauge(_) | Kind::Flag(_) | Kind::Quantiles(_) => "gauge",
+            };
+            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+            for cell in f.cells() {
+                let (labels, v) = (f.label_text(cell), f.value(self, g, cell));
+                // An unlabelled family always writes its sample; a
+                // labelled cell only when nonzero.
+                if v == 0 && !labels.is_empty() {
                     continue;
                 }
-                let labels = format!("method=\"{}\",cold=\"{label}\"", m.as_str());
-                let mut cum = 0u64;
-                for (upper, n) in &snap.buckets {
-                    cum += n;
-                    let _ = writeln!(
-                        out,
-                        "sd_request_duration_ns_bucket{{{labels},le=\"{upper}\"}} {cum}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "sd_request_duration_ns_bucket{{{labels},le=\"+Inf\"}} {}",
-                    cum
-                );
-                let _ = writeln!(out, "sd_request_duration_ns_sum{{{labels}}} {}", snap.sum);
-                let _ = writeln!(
-                    out,
-                    "sd_request_duration_ns_count{{{labels}}} {}",
-                    snap.count
-                );
-                for (q, num) in [("0.5", 50u64), ("0.9", 90), ("0.99", 99)] {
-                    let _ = writeln!(
-                        quantile_lines,
-                        "sd_request_duration_quantile_ns{{{labels},quantile=\"{q}\"}} {}",
-                        snap.quantile(num, 100)
-                    );
-                }
+                let _ = match f.kind {
+                    Kind::Histogram(read) | Kind::Quantiles(read) => {
+                        f.prom_histogram(&mut out, &labels, &read(self, cell).snapshot())
+                    }
+                    _ if labels.is_empty() => writeln!(out, "{name} {v}"),
+                    _ => writeln!(out, "{name}{{{labels}}} {v}"),
+                };
             }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP sd_request_duration_quantile_ns Derived latency quantiles (p50/p90/p99).\n\
-             # TYPE sd_request_duration_quantile_ns gauge"
-        );
-        out.push_str(&quantile_lines);
-        let _ = writeln!(
-            out,
-            "# HELP sd_request_phase_ns_total Cumulative per-phase request time.\n\
-             # TYPE sd_request_phase_ns_total counter"
-        );
-        for m in Method::ALL {
-            for p in Phase::ALL {
-                let n = self.phases[m.idx()][p.idx()].get();
-                if n != 0 {
-                    let _ = writeln!(
-                        out,
-                        "sd_request_phase_ns_total{{method=\"{}\",phase=\"{}\"}} {n}",
-                        m.as_str(),
-                        p.as_str()
-                    );
-                }
-            }
-        }
-        for (family, help, values) in [
-            (
-                "sd_pair_expansions_total",
-                "Pair expansions attempted by served searches.",
-                &self.pair_expansions,
-            ),
-            (
-                "sd_visited_pairs_total",
-                "Distinct canonical state pairs discovered by served searches.",
-                &self.visited_pairs,
-            ),
-            (
-                "sd_bfs_levels_total",
-                "BFS levels expanded by served searches.",
-                &self.bfs_levels,
-            ),
-            (
-                "sd_memo_rows_reused_total",
-                "Sparse successor rows served from the memo, per method.",
-                &self.rows_reused,
-            ),
-            (
-                "sd_memo_rows_materialized_total",
-                "Sparse successor rows interpreted, per method.",
-                &self.rows_materialized,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {family} {help}\n# TYPE {family} counter");
-            for m in Method::ALL {
-                let n = values[m.idx()].get();
-                if n != 0 {
-                    let _ = writeln!(out, "{family}{{method=\"{}\"}} {n}", m.as_str());
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP sd_engine_runs_total Searches run, by engine kind.\n\
-             # TYPE sd_engine_runs_total counter"
-        );
-        for (i, label) in ENGINES.iter().enumerate() {
-            let n = self.engine_runs[i].get();
-            if n != 0 {
-                let _ = writeln!(out, "sd_engine_runs_total{{engine=\"{label}\"}} {n}");
-            }
-        }
-        for (name, help, v) in [
-            (
-                "sd_partition_hits_total",
-                "Sat(phi) enumerations served from the Oracle intern cache.",
-                self.partition_hits.get(),
-            ),
-            (
-                "sd_partition_misses_total",
-                "Sat(phi) enumerations computed fresh.",
-                self.partition_misses.get(),
-            ),
-            (
-                "sd_compiles_total",
-                "Successor-table compiles.",
-                self.compiles.get(),
-            ),
-            (
-                "sd_compile_ns_total",
-                "Nanoseconds spent compiling successor tables.",
-                self.compile_ns.get(),
-            ),
-            ("sd_cache_hits_total", "Result-cache hits.", g.cache.hits),
-            (
-                "sd_cache_misses_total",
-                "Result-cache misses.",
-                g.cache.misses,
-            ),
-            (
-                "sd_cache_insertions_total",
-                "Result-cache insertions.",
-                g.cache.insertions,
-            ),
-            (
-                "sd_cache_evictions_total",
-                "Result-cache evictions.",
-                g.cache.evictions,
-            ),
-            (
-                "sd_connections_total",
-                "TCP connections accepted.",
-                g.connections_total,
-            ),
-            (
-                "sd_access_log_dropped_total",
-                "Access-log lines dropped instead of blocking requests.",
-                self.access_dropped.get(),
-            ),
-            (
-                "sd_slow_queries_total",
-                "Requests slower than the slow-query threshold.",
-                self.slow.captured.get(),
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, help, v) in [
-            ("sd_uptime_seconds", "Seconds since start.", self.uptime_s()),
-            (
-                "sd_connections_open",
-                "Currently open connections.",
-                g.connections_open,
-            ),
-            (
-                "sd_inflight_queries",
-                "Queries executing in the worker pool.",
-                g.inflight,
-            ),
-            (
-                "sd_queue_depth",
-                "Jobs waiting in the admission queue.",
-                g.queue_depth,
-            ),
-            ("sd_workers", "Worker pool size.", g.workers),
-            (
-                "sd_workers_busy",
-                "Workers currently executing a query.",
-                g.inflight,
-            ),
-            ("sd_cache_entries", "Result-cache entries.", g.cache.entries),
-            (
-                "sd_cache_capacity",
-                "Result-cache capacity.",
-                g.cache.capacity,
-            ),
-            (
-                "sd_registry_systems",
-                "Registered systems.",
-                g.registry_systems,
-            ),
-            ("sd_registry_capacity", "Registry capacity.", g.registry_cap),
-            (
-                "sd_slowlog_capacity",
-                "Slow-query ring capacity.",
-                self.slow.cap as u64,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
         }
         out
     }
@@ -946,6 +665,249 @@ pub struct ScrapeGauges {
     /// Registry capacity.
     pub registry_cap: u64,
 }
+
+/// One label cell: an index into each of a family's label dimensions.
+type Cell = [usize; 2];
+
+/// A label dimension: the Prometheus label name and values, and the
+/// JSON keys of the same cells.
+#[derive(Debug, PartialEq, Eq)]
+struct Dim {
+    name: &'static str,
+    values: &'static [&'static str],
+    keys: &'static [&'static str],
+}
+
+#[rustfmt::skip]
+impl Dim {
+    const METHOD: Dim = Dim { name: "method", values: &METHOD_NAMES, keys: &METHOD_NAMES };
+    const OUTCOME: Dim = Dim { name: "outcome", values: &OUTCOMES, keys: &OUTCOMES };
+    const PHASE: Dim = Dim { name: "phase", values: &PHASE_NAMES, keys: &PHASE_NAMES };
+    /// Cell 0 is cold, cell 1 warm.
+    const COLD: Dim = Dim { name: "cold", values: &["true", "false"], keys: &["cold", "warm"] };
+    const ENGINE: Dim = Dim { name: "engine", values: &ENGINES, keys: &ENGINES };
+}
+
+/// A family's kind, holding the reader of one label cell.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter(fn(&ServerMetrics, &ScrapeGauges, Cell) -> u64),
+    Gauge(fn(&ServerMetrics, &ScrapeGauges, Cell) -> u64),
+    /// A 0/1 gauge that JSON writes as a boolean.
+    Flag(fn(&ServerMetrics, &ScrapeGauges, Cell) -> u64),
+    Histogram(fn(&ServerMetrics, Cell) -> &Histogram),
+    /// A histogram's derived quantiles, exported as a gauge.
+    Quantiles(fn(&ServerMetrics, Cell) -> &Histogram),
+}
+
+/// Where a family sits in its JSON group.
+#[derive(Debug, Clone, Copy)]
+enum Json {
+    /// Not in the JSON scrape.
+    No,
+    /// The family's cells are the group's fields: `group.<method>.<cell>`
+    /// or `group.<cell>`.
+    Cells,
+    /// `group.key`. A method-labelled family is the `key` column of each
+    /// `group.<method>` object.
+    Key(&'static str),
+    /// A method column like `Key` whose nonzero cells decide which
+    /// `group.<method>` objects are written at all.
+    Gate(&'static str),
+}
+
+/// One metric family: the single definition both scrape formats write.
+struct Family {
+    json: Json,
+    kind: Kind,
+    labels: &'static [Dim],
+    /// Prometheus name and HELP text; `None` keeps the family out of
+    /// the exposition.
+    prom: Option<(&'static str, &'static str)>,
+}
+
+impl Family {
+    /// The cell's value; a histogram's is its sample count.
+    fn value(&self, m: &ServerMetrics, g: &ScrapeGauges, cell: Cell) -> u64 {
+        match self.kind {
+            Kind::Counter(read) | Kind::Gauge(read) | Kind::Flag(read) => read(m, g, cell),
+            Kind::Histogram(read) | Kind::Quantiles(read) => read(m, cell).count(),
+        }
+    }
+
+    /// Every label cell, first dimension outermost.
+    fn cells(&self) -> Vec<Cell> {
+        let len = |i: usize| self.labels.get(i).map_or(1, |d| d.values.len());
+        (0..len(0))
+            .flat_map(|a| (0..len(1)).map(move |b| [a, b]))
+            .collect()
+    }
+
+    /// The Prometheus label set of `cell` (`method="ping",…`).
+    fn label_text(&self, cell: Cell) -> String {
+        let pairs = self.labels.iter().zip(cell);
+        let pairs = pairs.map(|(d, i)| format!("{}=\"{}\"", d.name, d.values[i]));
+        pairs.collect::<Vec<_>>().join(",")
+    }
+
+    /// A histogram cell's Prometheus samples: cumulative `le` buckets
+    /// over the non-empty buckets plus `+Inf`, then sum and count; or,
+    /// for the quantile gauge, p50/p90/p99.
+    fn prom_histogram(&self, out: &mut String, labels: &str, s: &HistogramSnapshot) -> fmt::Result {
+        let name = self.prom.map_or("", |p| p.0);
+        if let Kind::Quantiles(_) = self.kind {
+            for (q, num) in [("0.5", 50), ("0.9", 90), ("0.99", 99)] {
+                let v = s.quantile(num, 100);
+                writeln!(out, "{name}{{{labels},quantile=\"{q}\"}} {v}")?;
+            }
+            return Ok(());
+        }
+        let mut cum = 0u64;
+        for (upper, n) in &s.buckets {
+            cum += n;
+            writeln!(out, "{name}_bucket{{{labels},le=\"{upper}\"}} {cum}")?;
+        }
+        writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cum}")?;
+        writeln!(out, "{name}_sum{{{labels}}} {}", s.sum)?;
+        writeln!(out, "{name}_count{{{labels}}} {}", s.count)
+    }
+}
+
+/// A histogram cell's JSON fields: count, sum, percentiles, buckets.
+fn json_histogram(j: &mut JsonBuf, s: &HistogramSnapshot) {
+    j.u64_field("count", s.count).u64_field("sum_ns", s.sum);
+    for (key, num) in [("p50_ns", 50), ("p90_ns", 90), ("p95_ns", 95)] {
+        j.u64_field(key, s.quantile(num, 100));
+    }
+    j.u64_field("p99_ns", s.quantile(99, 100));
+    j.begin_arr_field("buckets");
+    for (upper, n) in &s.buckets {
+        j.begin_arr_elem().u64_elem(*upper).u64_elem(*n).end_arr();
+    }
+    j.end_arr();
+}
+
+/// The `capacity` key of the `cache`, `registry` and `slowlog` groups.
+const CAPACITY: &str = "capacity";
+
+/// Every metric family, grouped by the JSON object it sits in (`""` is
+/// the top level), in scrape order. A group of labelled families leads
+/// with its one JSON family. Columns: JSON place, label dimensions,
+/// kind with its reader; then the Prometheus name and HELP text.
+#[rustfmt::skip]
+static FAMILIES: [(&str, &[Family]); 12] = {
+    use Json::{Cells, Gate, Key, No};
+    use Kind::{Counter, Flag, Gauge, Histogram, Quantiles};
+    const M: Dim = Dim::METHOD;
+    const fn fam(json: Json, labels: &'static [Dim], kind: Kind,
+                 prom: Option<(&'static str, &'static str)>) -> Family {
+        Family { json, kind, labels, prom }
+    }
+    [
+        ("", &[
+            fam(Key("enabled"), &[], Flag(|m, _, _| u64::from(m.enabled)), None),
+            fam(Key("uptime_s"), &[], Gauge(|m, _, _| m.uptime_s()),
+                Some(("sd_uptime_seconds", "Seconds since start."))),
+            fam(Key("slow_ms"), &[], Gauge(|m, _, _| m.slow_ns / 1_000_000), None),
+        ]),
+        ("gauges", &[
+            fam(Key("connections_total"), &[], Counter(|_, g, _| g.connections_total),
+                Some(("sd_connections_total", "TCP connections accepted."))),
+            fam(Key("connections_open"), &[], Gauge(|_, g, _| g.connections_open),
+                Some(("sd_connections_open", "Currently open connections."))),
+            fam(Key("inflight"), &[], Gauge(|_, g, _| g.inflight),
+                Some(("sd_inflight_queries", "Queries executing in the worker pool."))),
+            fam(Key("queue_depth"), &[], Gauge(|_, g, _| g.queue_depth),
+                Some(("sd_queue_depth", "Jobs waiting in the admission queue."))),
+            fam(Key("workers"), &[], Gauge(|_, g, _| g.workers),
+                Some(("sd_workers", "Worker pool size."))),
+            fam(Key("workers_busy"), &[], Gauge(|_, g, _| g.inflight),
+                Some(("sd_workers_busy", "Workers currently executing a query."))),
+        ]),
+        ("requests", &[
+            fam(Cells, &[M, Dim::OUTCOME], Counter(|m, _, [i, o]| m.requests[i][o].get()),
+                Some(("sd_requests_total", "Requests handled, by method and outcome."))),
+        ]),
+        // Cold is cell 0, but the histograms are indexed by `cold as usize`.
+        ("durations", &[
+            fam(Cells, &[M, Dim::COLD], Histogram(|m, [i, c]| &m.durations[i][1 - c]),
+                Some(("sd_request_duration_ns", "Request wall time, successful requests only."))),
+            fam(No, &[M, Dim::COLD], Quantiles(|m, [i, c]| &m.durations[i][1 - c]),
+                Some(("sd_request_duration_quantile_ns",
+                      "Derived latency quantiles (p50/p90/p99)."))),
+        ]),
+        ("phase_ns", &[
+            fam(Cells, &[M, Dim::PHASE], Counter(|m, _, [i, p]| m.phases[i][p].get()),
+                Some(("sd_request_phase_ns_total", "Cumulative per-phase request time."))),
+        ]),
+        ("costs", &[
+            fam(Gate("pair_expansions"), &[M], Counter(|m, _, [i, _]| m.pair_expansions[i].get()),
+                Some(("sd_pair_expansions_total",
+                      "Pair expansions attempted by served searches."))),
+            fam(Gate("visited_pairs"), &[M], Counter(|m, _, [i, _]| m.visited_pairs[i].get()),
+                Some(("sd_visited_pairs_total",
+                      "Distinct canonical state pairs discovered by served searches."))),
+            fam(Key("bfs_levels"), &[M], Counter(|m, _, [i, _]| m.bfs_levels[i].get()),
+                Some(("sd_bfs_levels_total", "BFS levels expanded by served searches."))),
+            fam(Key("rows_reused"), &[M], Counter(|m, _, [i, _]| m.rows_reused[i].get()),
+                Some(("sd_memo_rows_reused_total",
+                      "Sparse successor rows served from the memo, per method."))),
+            fam(Key("rows_materialized"), &[M],
+                Counter(|m, _, [i, _]| m.rows_materialized[i].get()),
+                Some(("sd_memo_rows_materialized_total",
+                      "Sparse successor rows interpreted, per method."))),
+        ]),
+        ("engines", &[
+            fam(Cells, &[Dim::ENGINE], Counter(|m, _, [e, _]| m.engine_runs[e].get()),
+                Some(("sd_engine_runs_total", "Searches run, by engine kind."))),
+        ]),
+        ("oracle", &[
+            fam(Key("partition_hits"), &[], Counter(|m, _, _| m.partition_hits.get()),
+                Some(("sd_partition_hits_total",
+                      "Sat(phi) enumerations served from the Oracle intern cache."))),
+            fam(Key("partition_misses"), &[], Counter(|m, _, _| m.partition_misses.get()),
+                Some(("sd_partition_misses_total", "Sat(phi) enumerations computed fresh."))),
+            fam(Key("memo_rows_reused"), &[], Counter(|m, _, _| m.memo_rows_reused.get()), None),
+            fam(Key("memo_rows_materialized"), &[],
+                Counter(|m, _, _| m.memo_rows_materialized.get()), None),
+            fam(Key("compiles"), &[], Counter(|m, _, _| m.compiles.get()),
+                Some(("sd_compiles_total", "Successor-table compiles."))),
+            fam(Key("compile_ns"), &[], Counter(|m, _, _| m.compile_ns.get()),
+                Some(("sd_compile_ns_total", "Nanoseconds spent compiling successor tables."))),
+        ]),
+        ("cache", &[
+            fam(Key("hits"), &[], Counter(|_, g, _| g.cache.hits),
+                Some(("sd_cache_hits_total", "Result-cache hits."))),
+            fam(Key("misses"), &[], Counter(|_, g, _| g.cache.misses),
+                Some(("sd_cache_misses_total", "Result-cache misses."))),
+            fam(Key("insertions"), &[], Counter(|_, g, _| g.cache.insertions),
+                Some(("sd_cache_insertions_total", "Result-cache insertions."))),
+            fam(Key("evictions"), &[], Counter(|_, g, _| g.cache.evictions),
+                Some(("sd_cache_evictions_total", "Result-cache evictions."))),
+            fam(Key("entries"), &[], Gauge(|_, g, _| g.cache.entries),
+                Some(("sd_cache_entries", "Result-cache entries."))),
+            fam(Key(CAPACITY), &[], Gauge(|_, g, _| g.cache.capacity),
+                Some(("sd_cache_capacity", "Result-cache capacity."))),
+        ]),
+        ("registry", &[
+            fam(Key("systems"), &[], Gauge(|_, g, _| g.registry_systems),
+                Some(("sd_registry_systems", "Registered systems."))),
+            fam(Key(CAPACITY), &[], Gauge(|_, g, _| g.registry_cap),
+                Some(("sd_registry_capacity", "Registry capacity."))),
+        ]),
+        ("", &[
+            fam(Key("access_log_dropped"), &[], Counter(|m, _, _| m.access_dropped.get()),
+                Some(("sd_access_log_dropped_total",
+                      "Access-log lines dropped instead of blocking requests."))),
+        ]),
+        ("slowlog", &[
+            fam(Key("captured"), &[], Counter(|m, _, _| m.slow.captured.get()),
+                Some(("sd_slow_queries_total", "Requests slower than the slow-query threshold."))),
+            fam(Key(CAPACITY), &[], Gauge(|m, _, _| m.slow.cap as u64),
+                Some(("sd_slowlog_capacity", "Slow-query ring capacity."))),
+        ]),
+    ]
+};
 
 /// A [`Sink`] that rolls Oracle telemetry into server metric families
 /// and forwards every event to an optional inner sink (`--telemetry`).
@@ -1119,5 +1081,344 @@ mod tests {
         assert_eq!(m.partition_misses.get(), 1);
         assert_eq!(m.memo_rows_reused.get(), 5);
         assert_eq!(m.memo_rows_materialized.get(), 2);
+    }
+
+    /// One observed request: method, outcome, cold, phase times, report.
+    type Step<'a> = (
+        Method,
+        Option<ErrorKind>,
+        bool,
+        &'a [(Phase, u64)],
+        Option<&'a QueryReport>,
+    );
+
+    /// A fixed request and telemetry mix for the scrape tests. The
+    /// wall-time histograms are refilled with fixed samples afterwards,
+    /// so the scrape is deterministic.
+    fn fixed_mix() -> (ServerMetrics, ScrapeGauges) {
+        // slow_ms 0: every request lands in the slow-query ring.
+        let m = Arc::new(ServerMetrics::new(true, 0, 8));
+        let report =
+            |engine, pair_expansions, visited_pairs, levels, rows_materialized| QueryReport {
+                engine,
+                wall_ns: 5_000,
+                visited_pairs,
+                pair_expansions,
+                levels,
+                partition_cached: false,
+                fresh_compile: false,
+                rows_reused: 2,
+                rows_materialized,
+            };
+        let dense = report("compiled-dense", 40, 10, 3, 5);
+        // No pairs: the JSON scrape leaves out `costs.sinks`.
+        let sparse = report("compiled-sparse", 0, 0, 1, 3);
+        let interp = report("interpreted", 7, 4, 2, 0);
+        let odd = report("weird", 1, 1, 1, 1);
+        let (parse, cache, compile, search) =
+            (Phase::Parse, Phase::Cache, Phase::Compile, Phase::Search);
+        #[rustfmt::skip]
+        let mix: [Step; 7] = [
+            (Method::Depends, None, true, &[(parse, 100), (cache, 20), (search, 5_000)], Some(&dense)),
+            (Method::Depends, None, false, &[(cache, 15), (Phase::Write, 25)], None),
+            (Method::Depends, Some(ErrorKind::Timeout), false, &[(search, 700)], None),
+            (Method::Sinks, None, true, &[(search, 400)], Some(&sparse)),
+            (Method::SinksMatrix, None, true, &[(compile, 60), (search, 900)], Some(&interp)),
+            (Method::Register, None, true, &[(Phase::Serialize, 50)], Some(&odd)),
+            (Method::Unknown, Some(ErrorKind::Parse), false, &[(parse, 10)], None),
+        ];
+        for (method, outcome, cold, phases, report) in mix {
+            let mut trace = RequestTrace::start();
+            for &(p, ns) in phases {
+                trace.add(p, ns);
+            }
+            let obs = RequestObs {
+                method,
+                outcome,
+                cold,
+                report,
+                ..RequestObs::default()
+            };
+            assert!(m.observe_request(&obs, &trace).is_some());
+        }
+        let sink = MetricsSink::new(Arc::clone(&m), None);
+        sink.record(&QueryEvent::CompileFinish {
+            kind: "compiled-dense",
+            wall_ns: 1234,
+        });
+        sink.record(&QueryEvent::PartitionMiss { states: 4 });
+        sink.record(&QueryEvent::PartitionHit { states: 4 });
+        sink.record(&QueryEvent::MemoRows {
+            reused: 5,
+            materialized: 2,
+        });
+        m.access_log_dropped(2);
+        drop(sink);
+        let mut m = Arc::try_unwrap(m).ok().expect("sole owner");
+        m.durations = (0..METHODS)
+            .map(|_| [Histogram::new(), Histogram::new()])
+            .collect();
+        let depends = Method::Depends.idx();
+        for (cold, ns) in [(true, 5_500), (true, 12_000), (false, 250)] {
+            m.durations[depends][usize::from(cold)].record(ns);
+        }
+        m.durations[Method::Register.idx()][1].record(1_100);
+        m.started = Instant::now();
+        let cache = CacheStats {
+            hits: 7,
+            misses: 3,
+            insertions: 3,
+            evictions: 1,
+            entries: 2,
+            capacity: 16,
+        };
+        let g = ScrapeGauges {
+            connections_total: 5,
+            connections_open: 2,
+            inflight: 1,
+            queue_depth: 3,
+            workers: 4,
+            cache,
+            registry_systems: 2,
+            registry_cap: 16,
+        };
+        (m, g)
+    }
+
+    fn scrape_json(m: &ServerMetrics, g: &ScrapeGauges) -> String {
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        m.json_fields(g, &mut j);
+        j.end_obj();
+        j.finish()
+    }
+
+    fn prom_samples(m: &ServerMetrics, g: &ScrapeGauges) -> Vec<String> {
+        let prom = m.render_prom(g);
+        let mut lines: Vec<String> = prom
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(str::to_string)
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    /// The scrape of [`fixed_mix`]: the JSON bytes, and the Prometheus
+    /// sample lines (sorted, comments dropped).
+    const GOLDEN_JSON: &str = concat!(
+        r#"{"enabled":true,"uptime_s":0,"slow_ms":0,"gauges":{"connections_total":5,"#,
+        r#""connections_open":2,"inflight":1,"queue_depth":3,"workers":4,"workers_busy":1},"#,
+        r#""requests":{"register":{"ok":1},"depends":{"ok":2,"timeout":1},"sinks":{"ok":1},"#,
+        r#""sinks_matrix":{"ok":1},"unknown":{"parse":1}},"#,
+        r#""durations":{"register":{"cold":{"count":1,"sum_ns":1100,"p50_ns":1151,"p90_ns":1151,"#,
+        r#""p95_ns":1151,"p99_ns":1151,"buckets":[[1151,1]]}},"depends":{"cold":{"count":2,"#,
+        r#""sum_ns":17500,"p50_ns":5631,"p90_ns":12287,"p95_ns":12287,"p99_ns":12287,"#,
+        r#""buckets":[[5631,1],[12287,1]]},"warm":{"count":1,"sum_ns":250,"p50_ns":255,"#,
+        r#""p90_ns":255,"p95_ns":255,"p99_ns":255,"buckets":[[255,1]]}}},"#,
+        r#""phase_ns":{"register":{"parse":0,"cache":0,"compile":0,"search":0,"serialize":50,"#,
+        r#""write":0},"depends":{"parse":100,"cache":35,"compile":0,"search":5700,"serialize":0,"#,
+        r#""write":25},"sinks":{"parse":0,"cache":0,"compile":0,"search":400,"serialize":0,"#,
+        r#""write":0},"sinks_matrix":{"parse":0,"cache":0,"compile":60,"search":900,"#,
+        r#""serialize":0,"write":0},"unknown":{"parse":10,"cache":0,"compile":0,"search":0,"#,
+        r#""serialize":0,"write":0}},"costs":{"register":{"pair_expansions":1,"visited_pairs":1,"#,
+        r#""bfs_levels":1,"rows_reused":2,"rows_materialized":1},"depends":{"pair_expansions":40,"#,
+        r#""visited_pairs":10,"bfs_levels":3,"rows_reused":2,"rows_materialized":5},"#,
+        r#""sinks_matrix":{"pair_expansions":7,"visited_pairs":4,"bfs_levels":2,"rows_reused":2,"#,
+        r#""rows_materialized":0}},"engines":{"interpreted":1,"compiled-dense":1,"#,
+        r#""compiled-sparse":1,"other":1},"oracle":{"partition_hits":1,"partition_misses":1,"#,
+        r#""memo_rows_reused":5,"memo_rows_materialized":2,"compiles":1,"compile_ns":1234},"#,
+        r#""cache":{"hits":7,"misses":3,"insertions":3,"evictions":1,"entries":2,"capacity":16},"#,
+        r#""registry":{"systems":2,"capacity":16},"access_log_dropped":2,"slowlog":{"captured":7,"#,
+        r#""capacity":8}}"#,
+    );
+
+    const GOLDEN_PROM: &str = r#"
+sd_access_log_dropped_total 2
+sd_bfs_levels_total{method="depends"} 3
+sd_bfs_levels_total{method="register"} 1
+sd_bfs_levels_total{method="sinks"} 1
+sd_bfs_levels_total{method="sinks_matrix"} 2
+sd_cache_capacity 16
+sd_cache_entries 2
+sd_cache_evictions_total 1
+sd_cache_hits_total 7
+sd_cache_insertions_total 3
+sd_cache_misses_total 3
+sd_compile_ns_total 1234
+sd_compiles_total 1
+sd_connections_open 2
+sd_connections_total 5
+sd_engine_runs_total{engine="compiled-dense"} 1
+sd_engine_runs_total{engine="compiled-sparse"} 1
+sd_engine_runs_total{engine="interpreted"} 1
+sd_engine_runs_total{engine="other"} 1
+sd_inflight_queries 1
+sd_memo_rows_materialized_total{method="depends"} 5
+sd_memo_rows_materialized_total{method="register"} 1
+sd_memo_rows_materialized_total{method="sinks"} 3
+sd_memo_rows_reused_total{method="depends"} 2
+sd_memo_rows_reused_total{method="register"} 2
+sd_memo_rows_reused_total{method="sinks"} 2
+sd_memo_rows_reused_total{method="sinks_matrix"} 2
+sd_pair_expansions_total{method="depends"} 40
+sd_pair_expansions_total{method="register"} 1
+sd_pair_expansions_total{method="sinks_matrix"} 7
+sd_partition_hits_total 1
+sd_partition_misses_total 1
+sd_queue_depth 3
+sd_registry_capacity 16
+sd_registry_systems 2
+sd_request_duration_ns_bucket{method="depends",cold="false",le="+Inf"} 1
+sd_request_duration_ns_bucket{method="depends",cold="false",le="255"} 1
+sd_request_duration_ns_bucket{method="depends",cold="true",le="+Inf"} 2
+sd_request_duration_ns_bucket{method="depends",cold="true",le="12287"} 2
+sd_request_duration_ns_bucket{method="depends",cold="true",le="5631"} 1
+sd_request_duration_ns_bucket{method="register",cold="true",le="+Inf"} 1
+sd_request_duration_ns_bucket{method="register",cold="true",le="1151"} 1
+sd_request_duration_ns_count{method="depends",cold="false"} 1
+sd_request_duration_ns_count{method="depends",cold="true"} 2
+sd_request_duration_ns_count{method="register",cold="true"} 1
+sd_request_duration_ns_sum{method="depends",cold="false"} 250
+sd_request_duration_ns_sum{method="depends",cold="true"} 17500
+sd_request_duration_ns_sum{method="register",cold="true"} 1100
+sd_request_duration_quantile_ns{method="depends",cold="false",quantile="0.5"} 255
+sd_request_duration_quantile_ns{method="depends",cold="false",quantile="0.9"} 255
+sd_request_duration_quantile_ns{method="depends",cold="false",quantile="0.99"} 255
+sd_request_duration_quantile_ns{method="depends",cold="true",quantile="0.5"} 5631
+sd_request_duration_quantile_ns{method="depends",cold="true",quantile="0.9"} 12287
+sd_request_duration_quantile_ns{method="depends",cold="true",quantile="0.99"} 12287
+sd_request_duration_quantile_ns{method="register",cold="true",quantile="0.5"} 1151
+sd_request_duration_quantile_ns{method="register",cold="true",quantile="0.9"} 1151
+sd_request_duration_quantile_ns{method="register",cold="true",quantile="0.99"} 1151
+sd_request_phase_ns_total{method="depends",phase="cache"} 35
+sd_request_phase_ns_total{method="depends",phase="parse"} 100
+sd_request_phase_ns_total{method="depends",phase="search"} 5700
+sd_request_phase_ns_total{method="depends",phase="write"} 25
+sd_request_phase_ns_total{method="register",phase="serialize"} 50
+sd_request_phase_ns_total{method="sinks",phase="search"} 400
+sd_request_phase_ns_total{method="sinks_matrix",phase="compile"} 60
+sd_request_phase_ns_total{method="sinks_matrix",phase="search"} 900
+sd_request_phase_ns_total{method="unknown",phase="parse"} 10
+sd_requests_total{method="depends",outcome="ok"} 2
+sd_requests_total{method="depends",outcome="timeout"} 1
+sd_requests_total{method="register",outcome="ok"} 1
+sd_requests_total{method="sinks",outcome="ok"} 1
+sd_requests_total{method="sinks_matrix",outcome="ok"} 1
+sd_requests_total{method="unknown",outcome="parse"} 1
+sd_slow_queries_total 7
+sd_slowlog_capacity 8
+sd_uptime_seconds 0
+sd_visited_pairs_total{method="depends"} 10
+sd_visited_pairs_total{method="register"} 1
+sd_visited_pairs_total{method="sinks_matrix"} 4
+sd_workers 4
+sd_workers_busy 1
+"#;
+
+    #[test]
+    fn golden_scrape_is_stable() {
+        let (m, g) = fixed_mix();
+        assert_eq!(scrape_json(&m, &g), GOLDEN_JSON);
+        assert_eq!(prom_samples(&m, &g).join("\n"), GOLDEN_PROM.trim());
+    }
+
+    /// Each row that names both outputs shows every nonzero cell in
+    /// both; family names are unique; every Prometheus sample follows
+    /// its family's `# TYPE`.
+    #[test]
+    fn both_outputs_show_every_nonzero_cell() {
+        let (m, g) = fixed_mix();
+        let json = crate::wire::parse(&scrape_json(&m, &g)).expect("scrape is JSON");
+        let prom = m.render_prom(&g);
+        let lines: std::collections::HashSet<&str> = prom.lines().collect();
+        let mut unexercised = Vec::new();
+        let families = FAMILIES
+            .iter()
+            .flat_map(|&(g, fs)| fs.iter().map(move |f| (g, fs, f)));
+        for (group, siblings, f) in families {
+            let key = match f.json {
+                Json::No => continue,
+                Json::Cells => "",
+                Json::Key(k) | Json::Gate(k) => k,
+            };
+            let Some((name, _)) = f.prom else { continue };
+            let mut exercised = false;
+            for cell in f.cells() {
+                let v = f.value(&m, &g, cell);
+                if v == 0 {
+                    continue;
+                }
+                exercised = true;
+                let labels = f.label_text(cell);
+                let sample = match f.kind {
+                    Kind::Histogram(_) => format!("{name}_count{{{labels}}} {v}"),
+                    _ if labels.is_empty() => format!("{name} {v}"),
+                    _ => format!("{name}{{{labels}}} {v}"),
+                };
+                assert!(lines.contains(sample.as_str()), "missing {sample}\n{prom}");
+                let mut path = vec![group];
+                match *f.labels {
+                    [] => path.push(key),
+                    [Dim::METHOD] => path.extend([METHOD_NAMES[cell[0]], key]),
+                    [Dim::METHOD, ref d] => path.extend([METHOD_NAMES[cell[0]], d.keys[cell[1]]]),
+                    [ref d] => path.push(d.keys[cell[0]]),
+                    _ => unreachable!(),
+                }
+                if matches!(f.kind, Kind::Histogram(_)) {
+                    path.push("count");
+                }
+                let found = (path.iter().filter(|k| !k.is_empty()))
+                    .try_fold(&json, |v, k| v.get(k))
+                    .and_then(|v| v.as_u64());
+                // A method's cost object is written only when a gate
+                // column is nonzero.
+                let gated_out = *f.labels == [Dim::METHOD]
+                    && siblings
+                        .iter()
+                        .all(|h| !matches!(h.json, Json::Gate(_)) || h.value(&m, &g, cell) == 0);
+                let want = (!gated_out).then_some(v);
+                assert_eq!(found, want, "{path:?}");
+            }
+            if !exercised {
+                unexercised.push(name);
+            }
+        }
+        // Uptime reads 0 seconds in a test; every other family is hit.
+        assert_eq!(unexercised, ["sd_uptime_seconds"]);
+
+        let all = FAMILIES.iter().flat_map(|(_, fs)| fs.iter());
+        let mut names: Vec<&str> = all.filter_map(|f| f.prom.map(|p| p.0)).collect();
+        let n = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), n, "duplicate family name");
+
+        let mut typed = Vec::new();
+        for line in prom.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                typed.push(rest.split(' ').next().unwrap_or_default());
+            } else if !line.starts_with('#') {
+                let name = line.split(['{', ' ']).next().unwrap_or_default();
+                let family = ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|s| name.strip_suffix(s).filter(|f| typed.contains(f)))
+                    .unwrap_or(name);
+                assert!(typed.contains(&family), "{line} before its # TYPE");
+            }
+        }
+    }
+
+    #[test]
+    fn label_indices_are_positions() {
+        for m in Method::ALL {
+            assert_eq!(Method::ALL[m.idx()], m);
+        }
+        for p in Phase::ALL {
+            assert_eq!(Phase::ALL[p.idx()], p);
+        }
+        for k in ErrorKind::ALL {
+            assert_eq!(outcome_str(Some(k)), k.as_str());
+        }
     }
 }

@@ -11,7 +11,6 @@
 //! | `depends`      | `system`, `a`, `beta` or `set`, `phi?`, `bound?`, limits      |
 //! | `sinks`        | `system`, `a`, `phi?`, limits                                 |
 //! | `sinks_matrix` | `system`, `sources`, `phi?`, limits                           |
-//! | `stats`        | —                                                             |
 //! | `metrics`      | `format?` (`"json"` default, or `"prometheus"`)               |
 //! | `slowlog`      | `limit?` (most recent N slow queries; default all buffered)   |
 //! | `shutdown`     | —                                                             |
@@ -61,8 +60,23 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [ErrorKind; 11] = [
+        ErrorKind::Parse,
+        ErrorKind::Protocol,
+        ErrorKind::TooLarge,
+        ErrorKind::UnknownMethod,
+        ErrorKind::UnknownSystem,
+        ErrorKind::Invalid,
+        ErrorKind::Timeout,
+        ErrorKind::Budget,
+        ErrorKind::Overloaded,
+        ErrorKind::ShuttingDown,
+        ErrorKind::Internal,
+    ];
+
     /// The wire spelling of the kind.
-    pub fn as_str(self) -> &'static str {
+    pub const fn as_str(self) -> &'static str {
         match self {
             ErrorKind::Parse => "parse",
             ErrorKind::Protocol => "protocol",
@@ -80,20 +94,7 @@ impl ErrorKind {
 
     /// Parses the wire spelling back (client side).
     pub fn from_wire(s: &str) -> Option<ErrorKind> {
-        Some(match s {
-            "parse" => ErrorKind::Parse,
-            "protocol" => ErrorKind::Protocol,
-            "too_large" => ErrorKind::TooLarge,
-            "unknown_method" => ErrorKind::UnknownMethod,
-            "unknown_system" => ErrorKind::UnknownSystem,
-            "invalid" => ErrorKind::Invalid,
-            "timeout" => ErrorKind::Timeout,
-            "budget" => ErrorKind::Budget,
-            "overloaded" => ErrorKind::Overloaded,
-            "shutting_down" => ErrorKind::ShuttingDown,
-            "internal" => ErrorKind::Internal,
-            _ => return None,
-        })
+        ErrorKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 }
 
@@ -273,8 +274,6 @@ pub enum Request {
     Register(SystemDesc),
     /// Run a strong-dependency query.
     Query(QueryReq),
-    /// Server counters snapshot.
-    Stats,
     /// Metric-families scrape. `prom` selects the Prometheus text
     /// exposition; otherwise the response carries structured JSON.
     Metrics {
@@ -349,7 +348,6 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
         .ok_or_else(|| WireError::new(ErrorKind::Protocol, "missing string field `method`"))?;
     let req = match method {
         "ping" => Request::Ping,
-        "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
         "metrics" => {
             let prom = match v.get("format") {
@@ -547,9 +545,6 @@ pub fn encode_frame(frame: &Frame) -> String {
     match &frame.req {
         Request::Ping => {
             j.str_field("method", "ping");
-        }
-        Request::Stats => {
-            j.str_field("method", "stats");
         }
         Request::Shutdown => {
             j.str_field("method", "shutdown");

@@ -10,8 +10,8 @@
 //!   over, and only a real accept error (such as `EMFILE`) backs off
 //!   briefly so it cannot spin.
 //! - Each **connection thread** reads bounded JSON lines, answers
-//!   control methods (`ping`, `register`, `stats`, `metrics`,
-//!   `slowlog`, `shutdown`) inline, and submits query work to a bounded
+//!   control methods (`ping`, `register`, `metrics`, `slowlog`,
+//!   `shutdown`) inline, and submits query work to a bounded
 //!   [`mpsc::sync_channel`]. A full queue is an immediate `overloaded`
 //!   error — the client backs off, the server never buffers unbounded
 //!   work.
@@ -98,7 +98,8 @@ pub struct Config {
     /// Slow-query ring capacity (most recent N kept).
     pub slowlog_cap: usize,
     /// Whether metric recording is live. `false` turns every recording
-    /// call into a no-op — the A/B baseline for the overhead bench.
+    /// call into a no-op — the A/B baseline for measuring metrics
+    /// overhead.
     pub metrics: bool,
 }
 
@@ -137,8 +138,6 @@ struct Shared {
     jobs: Mutex<Option<SyncSender<Job>>>,
     connections: AtomicU64,
     connections_open: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
     inflight: AtomicU64,
     queue_depth: AtomicU64,
 }
@@ -318,8 +317,6 @@ impl ServeHandle {
             jobs: Mutex::new(Some(tx)),
             connections: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
         });
@@ -358,8 +355,7 @@ impl ServeHandle {
         self.shared.cache.stats()
     }
 
-    /// The server's metric families, for in-process inspection in tests
-    /// and the load bench.
+    /// The server's metric families, for in-process inspection in tests.
     pub fn metrics(&self) -> Arc<ServerMetrics> {
         Arc::clone(&self.shared.metrics)
     }
@@ -499,36 +495,6 @@ fn flag_response(id: Option<u64>, flag: &str) -> String {
     j.begin_obj();
     put_id(&mut j, id);
     j.bool_field("ok", true).bool_field(flag, true).end_obj();
-    j.finish()
-}
-
-fn stats_response(shared: &Shared, id: Option<u64>) -> String {
-    let cache = shared.cache.stats();
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    put_id(&mut j, id);
-    j.bool_field("ok", true);
-    j.begin_obj_field("cache")
-        .u64_field("hits", cache.hits)
-        .u64_field("misses", cache.misses)
-        .u64_field("insertions", cache.insertions)
-        .u64_field("evictions", cache.evictions)
-        .u64_field("entries", cache.entries)
-        .u64_field("capacity", cache.capacity)
-        .end_obj();
-    j.u64_field("connections", shared.connections.load(Ordering::SeqCst))
-        .u64_field("requests", shared.requests.load(Ordering::SeqCst))
-        .u64_field("errors", shared.errors.load(Ordering::SeqCst))
-        .u64_field("inflight", shared.inflight.load(Ordering::SeqCst));
-    j.begin_arr_field("systems");
-    for (key, desc) in shared.registry.list() {
-        j.begin_obj()
-            .u64_field("system", key)
-            .str_field("desc", &desc)
-            .end_obj();
-    }
-    j.end_arr();
-    j.end_obj();
     j.finish()
 }
 
@@ -689,8 +655,6 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             Ok(Some(line)) => (line, RequestTrace::start()),
             Err(err) => {
                 let mut trace = RequestTrace::start();
-                shared.requests.fetch_add(1, Ordering::SeqCst);
-                shared.errors.fetch_add(1, Ordering::SeqCst);
                 let done = Done::err(Method::Unknown, None, &err);
                 let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
                 shared.observe_and_log(None, &done, &trace);
@@ -701,11 +665,9 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
         if line.trim().is_empty() {
             continue;
         }
-        shared.requests.fetch_add(1, Ordering::SeqCst);
         let frame = match trace.time(Phase::Parse, || proto::parse_frame(&line)) {
             Ok(frame) => frame,
             Err(err) => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
                 let done = Done::err(Method::Unknown, None, &err);
                 let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
                 shared.observe_and_log(None, &done, &trace);
@@ -716,10 +678,6 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
         let id = frame.id;
         let done = match frame.req {
             Request::Ping => Done::ok(Method::Ping, flag_response(id, "pong")),
-            Request::Stats => Done::ok(
-                Method::Stats,
-                trace.time(Phase::Serialize, || stats_response(shared, id)),
-            ),
             Request::Metrics { prom } => Done::ok(
                 Method::Metrics,
                 trace.time(Phase::Serialize, || metrics_response(shared, id, prom)),
@@ -735,9 +693,6 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             Request::Register(desc) => handle_register(shared, id, &desc, &mut trace),
             Request::Query(q) => handle_query(shared, id, q, &mut trace),
         };
-        if done.outcome.is_some() {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-        }
         let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
         // Observe after the write so the trace's write phase and total
         // cover the full request. A scrape therefore does not count

@@ -220,22 +220,33 @@ fn shutdown_drains_and_refuses_new_work() {
     handle.wait();
 }
 
-/// `stats` surfaces cache hit/miss counters and the registered systems.
+/// The `metrics` scrape surfaces the cache hit/miss counters and the
+/// registry size; the retired `stats` method is an unknown method.
 #[test]
-fn stats_surface_cache_counters_and_registry() {
+fn metrics_surface_cache_counters_and_registry() {
     let handle = spawn(None);
     let mut c = Client::connect(handle.local_addr()).unwrap();
     let key = c.register(flag_copy_desc()).unwrap();
     let req = QueryReq::sinks(key, vec!["alpha".into()]);
     c.sinks(req.clone()).unwrap();
     c.sinks(req).unwrap();
-    let stats = c.stats().unwrap();
-    let cache = stats.get("cache").expect("cache block");
-    assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
-    assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
-    let systems = stats.get("systems").unwrap().as_arr().unwrap();
-    assert_eq!(systems.len(), 1);
-    assert_eq!(systems[0].get("system").unwrap().as_u64(), Some(key));
+    let m = c.metrics().unwrap();
+    let at = |group: &str, key: &str| {
+        m.get(group)
+            .and_then(|g| g.get(key))
+            .and_then(|v| v.as_u64())
+    };
+    assert_eq!(at("cache", "hits"), Some(1));
+    assert_eq!(at("cache", "misses"), Some(1));
+    assert_eq!(at("registry", "systems"), Some(1));
+
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writeln!(writer, r#"{{"id":3,"method":"stats"}}"#).unwrap();
+    let mut resp = String::new();
+    BufReader::new(stream).read_line(&mut resp).unwrap();
+    assert!(resp.contains(r#""ok":false"#), "{resp}");
+    assert!(resp.contains(r#""kind":"unknown_method""#), "{resp}");
     handle.shutdown();
 }
 

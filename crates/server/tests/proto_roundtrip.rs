@@ -83,7 +83,6 @@ fn arb_query() -> impl Strategy<Value = QueryReq> {
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Ping),
-        Just(Request::Stats),
         Just(Request::Shutdown),
         (0u32..2).prop_map(|prom| Request::Metrics { prom: prom == 1 }),
         (0u32..2, 0u64..100_000).prop_map(|(has, n)| Request::SlowLog {

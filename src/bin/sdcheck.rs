@@ -65,7 +65,7 @@ fn usage() -> String {
      sdcheck certify <file> --cls VAR=LEVEL... [--levels L1<L2<...]\n  \
      sdcheck compile <file>\n  \
      sdcheck run <file> --init VAR=VALUE... [--fuel N]\n  \
-     sdcheck client (ping|register|depends|sinks|stats|metrics|slowlog|shutdown) [--addr HOST:PORT] ...\n      \
+     sdcheck client (ping|register|depends|sinks|metrics|slowlog|shutdown) [--addr HOST:PORT] ...\n      \
      system: --system KEY | --example NAME [--params P1,P2,...] | --program FILE\n      \
      query:  --from VAR[,VAR...] --to VAR [--phi EXPR] [--bound N] [--timeout-ms N] [--max-pairs N]\n      \
      scrape: metrics [--prom] | slowlog [--limit N]"
@@ -457,38 +457,6 @@ fn do_client(args: &[String]) -> Result<ExitCode, String> {
             let req = finish_query(QueryReq::sinks(key, from()?))?;
             let objs = c.sinks(req).map_err(|e| e.to_string())?;
             println!("sinks: {}", objs.join(" "));
-            Ok(ExitCode::SUCCESS)
-        }
-        "stats" => {
-            let stats = c.stats().map_err(|e| e.to_string())?;
-            let field = |path: &[&str]| {
-                let mut v = &stats;
-                for k in path {
-                    v = v.get(k)?;
-                }
-                v.as_u64()
-            };
-            for (label, path) in [
-                ("connections", &["connections"][..]),
-                ("requests", &["requests"][..]),
-                ("errors", &["errors"][..]),
-                ("inflight", &["inflight"][..]),
-                ("cache hits", &["cache", "hits"][..]),
-                ("cache misses", &["cache", "misses"][..]),
-                ("cache entries", &["cache", "entries"][..]),
-            ] {
-                if let Some(v) = field(path) {
-                    println!("{label}: {v}");
-                }
-            }
-            if let Some(systems) = stats.get("systems").and_then(|s| s.as_arr()) {
-                println!("systems: {}", systems.len());
-                for s in systems {
-                    let key = s.get("system").and_then(|k| k.as_u64()).unwrap_or(0);
-                    let desc = s.get("desc").and_then(|d| d.as_str()).unwrap_or("?");
-                    println!("  {key}  {desc}");
-                }
-            }
             Ok(ExitCode::SUCCESS)
         }
         "metrics" => {
