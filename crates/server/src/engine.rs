@@ -3,7 +3,8 @@
 //! This layer is deliberately free of I/O and threading so the whole
 //! request path — name resolution, φ lowering, fingerprinting, cache
 //! lookup, query run, answer serialisation — is testable in-process.
-//! The TCP server calls [`execute_query`] from its worker pool.
+//! The TCP server calls [`execute_query`] on the connection thread
+//! that read the request, once its admission gate grants a slot.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,8 +110,8 @@ fn build_query(
 /// → cache lookup → (on miss) run on the shared Oracle → cache fill.
 ///
 /// `max_timeout` caps (and defaults) the per-request deadline — the
-/// server's robustness floor against requests that would otherwise pin
-/// a worker forever.
+/// server's robustness floor against requests that would otherwise hold
+/// an admission slot forever.
 ///
 /// `trace` attributes the stage costs to request phases: query
 /// construction (φ lowering, name resolution) is `compile`; the

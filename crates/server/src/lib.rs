@@ -26,9 +26,10 @@
 //!   counters, cold/warm latency histograms, six-phase request traces,
 //!   rolled-up query-cost counters, the slow-query ring, and the
 //!   Prometheus/JSON scrape renderers;
-//! - [`server`] — the TCP daemon: bounded admission queue, fixed worker
-//!   pool, per-request deadlines/budgets, graceful draining shutdown,
-//!   JSON-lines access log;
+//! - [`server`] — the TCP daemon: a thread per connection that runs its
+//!   own queries behind one bounded admission gate, per-request
+//!   deadlines/budgets, graceful draining shutdown, JSON-lines access
+//!   log;
 //! - [`client`] — a blocking client library (used by `sdcheck client`
 //!   and the end-to-end tests).
 

@@ -20,7 +20,7 @@
 //! All hot-path state is lock-free ([`sd_core::metrics`]): sharded
 //! counters and fixed-bucket log-scale histograms, no floats, no locks
 //! on the request path. Quantiles (p50/p90/p95/p99) and gauges
-//! (uptime, in-flight, queue depth, worker utilization) are derived at
+//! (uptime, in-flight, queue depth, slot utilization) are derived at
 //! scrape time by the `metrics` protocol method, which renders either
 //! structured JSON or a Prometheus text exposition. Both formats are
 //! written from one table, `FAMILIES`: each row defines a family once
@@ -38,8 +38,9 @@ use sd_core::{Counter, Histogram, HistogramSnapshot, JsonBuf, QueryEvent, QueryR
 use crate::cache::CacheStats;
 use crate::proto::ErrorKind;
 
-/// Protocol methods, as metric label values. `Unknown` covers frames
-/// that never parsed far enough to have a method.
+/// Protocol methods: the wire `method` field and the metric label
+/// value. `Unknown` covers frames that never parsed far enough to have
+/// a method; no frame parses to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
     /// `ping`.
@@ -66,7 +67,8 @@ pub enum Method {
 /// Number of [`Method`] variants.
 pub const METHODS: usize = 9;
 
-/// Method label values, indexed like [`Method::ALL`].
+/// Method names, indexed like [`Method::ALL`]: the only spelling of
+/// each, read by the frame parser and encoder and by the metric labels.
 const METHOD_NAMES: [&str; METHODS] = [
     "ping",
     "register",
@@ -93,9 +95,14 @@ impl Method {
         Method::Unknown,
     ];
 
-    /// The label value.
+    /// The wire name, which is also the label value.
     pub fn as_str(self) -> &'static str {
         METHOD_NAMES[self.idx()]
+    }
+
+    /// The method named `name`, if any.
+    pub(crate) fn from_name(name: &str) -> Option<Method> {
+        Method::ALL.into_iter().find(|m| m.as_str() == name)
     }
 
     /// The metric method for a query kind.
@@ -183,7 +190,7 @@ impl Phase {
 }
 
 /// Per-request phase timings. Created when the request line arrives,
-/// carried through the worker pool (it travels inside the job), and
+/// filled in on the connection thread that serves the request, and
 /// finalised after the response write. Phases not exercised by a
 /// request (e.g. `search` for `ping`) stay 0 — the breakdown is always
 /// complete, never partial.
@@ -191,12 +198,6 @@ impl Phase {
 pub struct RequestTrace {
     started: Instant,
     phase_ns: [u64; PHASES],
-}
-
-impl Default for RequestTrace {
-    fn default() -> RequestTrace {
-        RequestTrace::start()
-    }
 }
 
 impl RequestTrace {
@@ -395,7 +396,7 @@ fn engine_idx(engine: &str) -> usize {
 }
 
 /// The server's metric families. One instance per server, shared by
-/// every connection/worker thread; all recording is lock-free. When
+/// every connection thread; all recording is lock-free. When
 /// constructed disabled (`--no-metrics`, the overhead A/B baseline) every
 /// recording call returns immediately.
 pub struct ServerMetrics {
@@ -652,11 +653,11 @@ pub struct ScrapeGauges {
     pub connections_total: u64,
     /// Currently open connections.
     pub connections_open: u64,
-    /// Queries executing right now.
+    /// Queries holding an admission slot right now.
     pub inflight: u64,
-    /// Jobs waiting in the admission queue.
+    /// Queries waiting for an admission slot.
     pub queue_depth: u64,
-    /// Worker pool size.
+    /// Admission slots: how many queries may execute at once.
     pub workers: u64,
     /// Result-cache counters.
     pub cache: CacheStats,
@@ -816,13 +817,13 @@ static FAMILIES: [(&str, &[Family]); 12] = {
             fam(Key("connections_open"), &[], Gauge(|_, g, _| g.connections_open),
                 Some(("sd_connections_open", "Currently open connections."))),
             fam(Key("inflight"), &[], Gauge(|_, g, _| g.inflight),
-                Some(("sd_inflight_queries", "Queries executing in the worker pool."))),
+                Some(("sd_inflight_queries", "Queries holding an admission slot."))),
             fam(Key("queue_depth"), &[], Gauge(|_, g, _| g.queue_depth),
-                Some(("sd_queue_depth", "Jobs waiting in the admission queue."))),
+                Some(("sd_queue_depth", "Queries waiting for an admission slot."))),
             fam(Key("workers"), &[], Gauge(|_, g, _| g.workers),
-                Some(("sd_workers", "Worker pool size."))),
+                Some(("sd_workers", "Admission slots (queries that may execute at once)."))),
             fam(Key("workers_busy"), &[], Gauge(|_, g, _| g.inflight),
-                Some(("sd_workers_busy", "Workers currently executing a query."))),
+                Some(("sd_workers_busy", "Admission slots currently held by a query."))),
         ]),
         ("requests", &[
             fam(Cells, &[M, Dim::OUTCOME], Counter(|m, _, [i, o]| m.requests[i][o].get()),

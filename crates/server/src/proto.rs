@@ -25,6 +25,7 @@
 
 use sd_core::{Fnv64, JsonBuf, QueryAnswer, QueryOutcome, QueryReport, System};
 
+use crate::metrics::Method;
 use crate::wire::{self, Json};
 
 /// Maximum accepted request-line length in bytes. Longer frames are
@@ -196,11 +197,7 @@ pub enum QueryKind {
 impl QueryKind {
     /// The wire method name.
     pub fn method(self) -> &'static str {
-        match self {
-            QueryKind::Depends => "depends",
-            QueryKind::Sinks => "sinks",
-            QueryKind::SinksMatrix => "sinks_matrix",
-        }
+        Method::from_kind(self).as_str()
     }
 }
 
@@ -289,6 +286,20 @@ pub enum Request {
     Shutdown,
 }
 
+impl Request {
+    /// The request's method.
+    pub(crate) fn method(&self) -> Method {
+        match self {
+            Request::Ping => Method::Ping,
+            Request::Register(_) => Method::Register,
+            Request::Query(q) => Method::from_kind(q.kind),
+            Request::Metrics { .. } => Method::Metrics,
+            Request::SlowLog { .. } => Method::SlowLog,
+            Request::Shutdown => Method::Shutdown,
+        }
+    }
+}
+
 /// A request with its correlation id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -342,14 +353,14 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
             )
         })?),
     };
-    let method = v
+    let name = v
         .get("method")
         .and_then(Json::as_str)
         .ok_or_else(|| WireError::new(ErrorKind::Protocol, "missing string field `method`"))?;
-    let req = match method {
-        "ping" => Request::Ping,
-        "shutdown" => Request::Shutdown,
-        "metrics" => {
+    let req = match Method::from_name(name) {
+        Some(Method::Ping) => Request::Ping,
+        Some(Method::Shutdown) => Request::Shutdown,
+        Some(Method::Metrics) => {
             let prom = match v.get("format") {
                 None | Some(Json::Null) => false,
                 Some(f) => match f.as_str() {
@@ -365,7 +376,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
             };
             Request::Metrics { prom }
         }
-        "slowlog" => {
+        Some(Method::SlowLog) => {
             let limit = match v.get("limit") {
                 None | Some(Json::Null) => None,
                 Some(l) => Some(l.as_u64().ok_or_else(|| {
@@ -377,7 +388,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
             };
             Request::SlowLog { limit }
         }
-        "register" => {
+        Some(Method::Register) => {
             let desc = match (v.get("example"), v.get("program")) {
                 (Some(name), None) => {
                     let name = name
@@ -426,7 +437,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
             };
             Request::Register(desc)
         }
-        "depends" | "sinks" | "sinks_matrix" => {
+        Some(method @ (Method::Depends | Method::Sinks | Method::SinksMatrix)) => {
             let system = v.get("system").and_then(Json::as_u64).ok_or_else(|| {
                 WireError::new(
                     ErrorKind::Protocol,
@@ -434,8 +445,8 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
                 )
             })?;
             let kind = match method {
-                "depends" => QueryKind::Depends,
-                "sinks" => QueryKind::Sinks,
+                Method::Depends => QueryKind::Depends,
+                Method::Sinks => QueryKind::Sinks,
                 _ => QueryKind::SinksMatrix,
             };
             let phi = match v.get("phi") {
@@ -520,17 +531,18 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
                 max_pairs,
             })
         }
-        other => {
+        None | Some(Method::Unknown) => {
             return Err(WireError::new(
                 ErrorKind::UnknownMethod,
-                format!("unknown method `{other}`"),
+                format!("unknown method `{name}`"),
             ))
         }
     };
     Ok(Frame { id, req })
 }
 
-fn put_id(j: &mut JsonBuf, id: Option<u64>) {
+/// Writes the `id` field: the number, or `null` when the frame had none.
+pub(crate) fn put_id(j: &mut JsonBuf, id: Option<u64>) {
     match id {
         Some(id) => j.u64_field("id", id),
         None => j.null_field("id"),
@@ -542,43 +554,33 @@ pub fn encode_frame(frame: &Frame) -> String {
     let mut j = JsonBuf::new();
     j.begin_obj();
     put_id(&mut j, frame.id);
+    j.str_field("method", frame.req.method().as_str());
     match &frame.req {
-        Request::Ping => {
-            j.str_field("method", "ping");
-        }
-        Request::Shutdown => {
-            j.str_field("method", "shutdown");
-        }
+        Request::Ping | Request::Shutdown => {}
         Request::Metrics { prom } => {
-            j.str_field("method", "metrics");
             if *prom {
                 j.str_field("format", "prometheus");
             }
         }
         Request::SlowLog { limit } => {
-            j.str_field("method", "slowlog");
             if let Some(l) = limit {
                 j.u64_field("limit", *l);
             }
         }
-        Request::Register(desc) => {
-            j.str_field("method", "register");
-            match desc {
-                SystemDesc::Example { name, params } => {
-                    j.str_field("example", name);
-                    j.begin_arr_field("params");
-                    for p in params {
-                        j.i64_elem(*p);
-                    }
-                    j.end_arr();
+        Request::Register(desc) => match desc {
+            SystemDesc::Example { name, params } => {
+                j.str_field("example", name);
+                j.begin_arr_field("params");
+                for p in params {
+                    j.i64_elem(*p);
                 }
-                SystemDesc::Program { source } => {
-                    j.str_field("program", source);
-                }
+                j.end_arr();
             }
-        }
+            SystemDesc::Program { source } => {
+                j.str_field("program", source);
+            }
+        },
         Request::Query(q) => {
-            j.str_field("method", q.kind.method());
             j.u64_field("system", q.system);
             if let Some(phi) = &q.phi {
                 j.str_field("phi", phi);
@@ -689,12 +691,19 @@ pub fn encode_answer(sys: &System, out: &QueryOutcome) -> String {
     j.finish()
 }
 
-/// Encodes an error response line.
-pub fn encode_error(id: Option<u64>, err: &WireError) -> String {
+/// Starts a response line with its `id` and `ok` fields; the caller
+/// adds the rest, closes the object and finishes the buffer.
+pub(crate) fn begin_response(id: Option<u64>, ok: bool) -> JsonBuf {
     let mut j = JsonBuf::new();
     j.begin_obj();
     put_id(&mut j, id);
-    j.bool_field("ok", false);
+    j.bool_field("ok", ok);
+    j
+}
+
+/// Encodes an error response line.
+pub fn encode_error(id: Option<u64>, err: &WireError) -> String {
+    let mut j = begin_response(id, false);
     j.begin_obj_field("error")
         .str_field("kind", err.kind.as_str())
         .str_field("message", &err.message)
@@ -710,10 +719,7 @@ pub fn encode_query_ok(
     cached: bool,
     report: Option<&QueryReport>,
 ) -> String {
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    put_id(&mut j, id);
-    j.bool_field("ok", true);
+    let mut j = begin_response(id, true);
     j.bool_field("cached", cached);
     j.raw_field("answer", answer_json);
     if let Some(r) = report {
@@ -862,6 +868,43 @@ mod tests {
                 .kind,
             ErrorKind::Protocol
         );
+    }
+
+    /// A request of every method but `Unknown` survives `encode_frame`
+    /// → `parse_frame`, and its wire name is its metric label. Neither
+    /// `unknown` nor the retired `stats` is a wire method.
+    #[test]
+    fn every_method_round_trips_under_its_label() {
+        let reqs = [
+            Request::Ping,
+            Request::Register(SystemDesc::Example {
+                name: "copy".into(),
+                params: vec![2],
+            }),
+            Request::Query(QueryReq::depends(7, vec!["a".into()], "b")),
+            Request::Query(QueryReq::sinks(7, vec!["a".into()])),
+            Request::Query(QueryReq::matrix(7, vec![vec!["a".into()]])),
+            Request::Metrics { prom: false },
+            Request::SlowLog { limit: None },
+            Request::Shutdown,
+        ];
+        let methods: Vec<Method> = reqs.iter().map(Request::method).collect();
+        assert_eq!(methods, Method::ALL[..Method::ALL.len() - 1]);
+        for req in reqs {
+            let line = encode_frame(&Frame {
+                id: Some(1),
+                req: req.clone(),
+            });
+            let wire_name = wire::parse(&line).unwrap().get("method").cloned();
+            let label = req.method().as_str();
+            assert_eq!(wire_name.as_ref().and_then(Json::as_str), Some(label));
+            assert_eq!(parse_frame(&line).unwrap().req, req);
+        }
+        for name in ["unknown", "stats"] {
+            let line = format!(r#"{{"method":"{name}"}}"#);
+            let err = parse_frame(&line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::UnknownMethod, "{name}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use sd_core::{examples, CompileBudget, Engine, Oracle, Sink, System};
 use crate::proto::{ErrorKind, SystemDesc, WireError};
 
 /// One registered system: the leaked [`System`] and its compile-once
-/// [`Oracle`], shared (the Oracle is `Sync`) by every worker.
+/// [`Oracle`], shared (the Oracle is `Sync`) by every connection thread.
 pub struct SystemEntry {
     /// The registry key ([`SystemDesc::content_key`]).
     pub key: u64,

@@ -1,6 +1,5 @@
-//! The TCP daemon: accept loop, bounded admission queue, fixed worker
-//! pool, graceful shutdown, and the observability hooks around all of
-//! it.
+//! The TCP daemon: accept loop, one admission gate, graceful shutdown,
+//! and the observability hooks around all of it.
 //!
 //! # Threading model
 //!
@@ -11,12 +10,13 @@
 //!   briefly so it cannot spin.
 //! - Each **connection thread** reads bounded JSON lines, answers
 //!   control methods (`ping`, `register`, `metrics`, `slowlog`,
-//!   `shutdown`) inline, and submits query work to a bounded
-//!   [`mpsc::sync_channel`]. A full queue is an immediate `overloaded`
-//!   error — the client backs off, the server never buffers unbounded
-//!   work.
-//! - A **fixed pool** of worker threads drains the queue, runs
-//!   [`engine::execute_query`], and replies over a per-request channel.
+//!   `shutdown`) inline, and runs each query itself with
+//!   [`engine::execute_query`] once the **admission gate** grants it a
+//!   slot: at most `workers` run, at most `queue_depth` more wait in
+//!   arrival order, and the next is refused with `overloaded` — the
+//!   server never buffers unbounded work. The slot is handed on once the
+//!   reply is serialised, so a client slow to read blocks only its own
+//!   connection; reply writes time out after `max_timeout`.
 //!
 //! # Observability
 //!
@@ -37,45 +37,49 @@
 //!
 //! # Graceful shutdown
 //!
-//! `shutdown` (request or [`ServeHandle::shutdown`]) flips a flag and
-//! closes the job queue's sender side. Workers finish every job already
-//! admitted (the drain), then exit; new queries are refused with
-//! `shutting_down`. In-flight requests therefore complete normally
-//! while the server drains — the robustness property the e2e tests pin.
+//! `shutdown` (request or [`ServeHandle::shutdown`]) closes the gate.
+//! From then on new queries and registrations are refused with
+//! `shutting_down`; every query the gate already admitted, running or
+//! waiting for a slot, still runs and writes its reply (the drain); a
+//! reply its client never reads holds the drain at most `max_timeout`.
+//! [`ServeHandle::wait`] returns only once the drain is over, so
+//! `sdserved` cannot exit between a drained query and its reply.
 //!
 //! The blocked accept thread is woken by a connection to the listener's
 //! own address (loopback when bound to a wildcard address); it checks
-//! the flag after every accept and drops that connection. A `shutdown`
+//! the gate after every accept and drops that connection. A `shutdown`
 //! request writes its reply *before* the wake: once the accept thread
-//! exits, [`ServeHandle::wait`] returns and `sdserved` exits, so waking
-//! first could end the process before the reply leaves.
+//! exits and the drain is over, [`ServeHandle::wait`] returns and
+//! `sdserved` exits, so waking first could end the process before the
+//! reply leaves.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sd_core::{CompileBudget, JsonBuf, QueryReport, Sink};
 
 use crate::cache::ResultCache;
-use crate::engine::{self, ExecOutcome};
+use crate::engine;
 use crate::metrics::{
     Method, MetricsSink, Phase, RequestObs, RequestTrace, ScrapeGauges, ServerMetrics,
 };
-use crate::proto::{self, ErrorKind, QueryReq, Request, WireError, MAX_FRAME};
+use crate::proto::{self, put_id, ErrorKind, QueryReq, Request, WireError, MAX_FRAME};
 use crate::registry::{Registry, SystemEntry};
 
 /// Server tuning knobs. [`Config::default`] is suitable for tests and
-/// small deployments: loopback, four workers, a 64-deep queue.
+/// small deployments: loopback, four query slots, 64 waiting places.
 pub struct Config {
     /// Bind address (`"127.0.0.1:0"` picks a free port).
     pub addr: String,
-    /// Worker threads executing queries.
+    /// How many queries may execute at once (each on its own
+    /// connection thread).
     pub workers: usize,
-    /// Bounded admission-queue depth; a full queue refuses work.
+    /// How many more queries may wait for a slot (admitted in arrival
+    /// order); past that a query is refused with `overloaded`.
     pub queue_depth: usize,
     /// Maximum registered systems (entries live for the process).
     pub registry_cap: usize,
@@ -83,7 +87,8 @@ pub struct Config {
     pub cache_cap: usize,
     /// Maximum request-line length in bytes.
     pub max_frame: usize,
-    /// Cap — and default — for per-request deadlines.
+    /// Cap — and default — for per-request deadlines, and how long a
+    /// reply write may block before the connection is dropped.
     pub max_timeout: Duration,
     /// Compile budget for registered systems.
     pub budget: CompileBudget,
@@ -133,20 +138,140 @@ struct Shared {
     access: Option<Mutex<Box<dyn Write + Send>>>,
     max_frame: usize,
     max_timeout: Duration,
-    workers: usize,
-    shutdown: AtomicBool,
-    jobs: Mutex<Option<SyncSender<Job>>>,
+    gate: Gate,
     connections: AtomicU64,
     connections_open: AtomicU64,
-    inflight: AtomicU64,
-    queue_depth: AtomicU64,
 }
 
-struct Job {
-    entry: Arc<SystemEntry>,
-    req: QueryReq,
-    trace: RequestTrace,
-    reply: mpsc::SyncSender<(Result<ExecOutcome, WireError>, RequestTrace)>,
+/// The admission gate: at most `workers` queries run at once, at most
+/// `queue_depth` more wait for a slot and are admitted in arrival order,
+/// and a closed gate turns away new queries. Its state is the only
+/// record of running and waiting queries.
+struct Gate {
+    workers: usize,
+    queue_depth: usize,
+    state: Mutex<GateState>,
+    /// Signalled when a slot or a reply frees, and when the gate closes.
+    freed: Condvar,
+}
+
+#[derive(Clone, Copy, Default)]
+struct GateState {
+    /// Queries holding a slot.
+    running: usize,
+    /// Admitted queries whose reply is still being written.
+    replying: usize,
+    /// Tickets: each waiting query holds one in `serving..next`, and
+    /// `serving` is the next to be admitted.
+    next: u64,
+    serving: u64,
+    closed: bool,
+}
+
+impl GateState {
+    fn waiting(&self) -> usize {
+        (self.next - self.serving) as usize
+    }
+}
+
+/// An admitted query's hold on the gate: a slot until
+/// [`Admitted::replying`], then a reply the drain waits for. Dropping it
+/// releases whichever it holds, also when the query panics.
+struct Admitted<'g> {
+    gate: &'g Gate,
+    running: bool,
+}
+
+impl Gate {
+    /// Recovers a poisoned lock: every update leaves the counts valid,
+    /// and `Admitted::drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a slot, waiting behind earlier queries when every slot is
+    /// busy or others already wait. Refuses with `shutting_down` once
+    /// closed (a query already waiting is still admitted) and with
+    /// `overloaded` when every waiting place is taken.
+    fn admit(&self) -> Result<Admitted<'_>, WireError> {
+        let mut st = self.lock();
+        if st.closed {
+            return Err(draining());
+        }
+        if st.waiting() > 0 || st.running >= self.workers {
+            if st.waiting() >= self.queue_depth {
+                return Err(WireError::new(
+                    ErrorKind::Overloaded,
+                    "admission queue full; retry later",
+                ));
+            }
+            let ticket = st.next;
+            st.next += 1;
+            let not_yet = |st: &mut GateState| st.serving != ticket || st.running >= self.workers;
+            st = self
+                .freed
+                .wait_while(st, not_yet)
+                .unwrap_or_else(PoisonError::into_inner);
+            st.serving += 1;
+            // The next in line may find a slot free as well.
+            self.wake(&st);
+        }
+        st.running += 1;
+        Ok(Admitted {
+            gate: self,
+            running: true,
+        })
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.freed.notify_all();
+    }
+
+    /// After a slot or a reply frees. Only the head of the line may take
+    /// a slot, and the drain waits on the same condvar, so wake everyone
+    /// whenever anyone waits.
+    fn wake(&self, st: &GateState) {
+        if st.closed || st.waiting() > 0 {
+            self.freed.notify_all();
+        }
+    }
+
+    /// Blocks until the gate is closed and every admitted query has
+    /// run and written its reply.
+    fn drain(&self) {
+        let busy = |st: &mut GateState| !st.closed || st.running + st.waiting() + st.replying > 0;
+        drop(self.freed.wait_while(self.lock(), busy));
+    }
+}
+
+impl Admitted<'_> {
+    /// Hands the slot on once the reply is serialised; the drain still
+    /// waits for the reply until this is dropped.
+    fn replying(&mut self) {
+        debug_assert!(self.running, "the slot is handed on once");
+        self.running = false;
+        let mut st = self.gate.lock();
+        st.running -= 1;
+        st.replying += 1;
+        self.gate.wake(&st);
+    }
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        let mut st = self.gate.lock();
+        if self.running {
+            st.running -= 1;
+        } else {
+            st.replying -= 1;
+        }
+        self.gate.wake(&st);
+    }
+}
+
+fn draining() -> WireError {
+    WireError::new(ErrorKind::ShuttingDown, "server is draining")
 }
 
 /// Everything known about a finished request when it is folded into the
@@ -184,17 +309,7 @@ impl Done {
 }
 
 impl Shared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Closing the sender lets workers drain the queue and exit.
-        self.jobs.lock().expect("jobs lock").take();
-    }
-
-    /// Unblocks the accept thread after [`Shared::begin_shutdown`] by
+    /// Unblocks the accept thread after the gate closes by
     /// connecting to the listener. A wildcard bind is dialled on the
     /// loopback address of its family. Once the accept thread has gone
     /// the connect is refused, which is harmless.
@@ -210,12 +325,13 @@ impl Shared {
     }
 
     fn scrape_gauges(&self) -> ScrapeGauges {
+        let gate = *self.gate.lock();
         ScrapeGauges {
             connections_total: self.connections.load(Ordering::SeqCst),
             connections_open: self.connections_open.load(Ordering::SeqCst),
-            inflight: self.inflight.load(Ordering::SeqCst),
-            queue_depth: self.queue_depth.load(Ordering::SeqCst),
-            workers: self.workers as u64,
+            inflight: gate.running as u64,
+            queue_depth: gate.waiting() as u64,
+            workers: self.gate.workers as u64,
             cache: self.cache.stats(),
             registry_systems: self.registry.len() as u64,
             registry_cap: self.registry.cap() as u64,
@@ -242,10 +358,7 @@ impl Shared {
         let Some(access) = &self.access else { return };
         let mut j = JsonBuf::new();
         j.begin_obj().str_field("event", "request");
-        match id {
-            Some(id) => j.u64_field("id", id),
-            None => j.null_field("id"),
-        };
+        put_id(&mut j, id);
         j.str_field("method", done.method.as_str());
         match done.outcome {
             None => {
@@ -280,16 +393,14 @@ impl Shared {
 pub struct ServeHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl ServeHandle {
-    /// Binds, spawns the accept thread and worker pool, and returns
-    /// immediately.
+    /// Binds, spawns the accept thread, and returns immediately.
     pub fn spawn(cfg: Config) -> std::io::Result<ServeHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_depth.max(1));
         let metrics = Arc::new(ServerMetrics::new(
             cfg.metrics,
             cfg.slow_ms,
@@ -302,7 +413,6 @@ impl ServeHandle {
         } else {
             cfg.sink
         };
-        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             addr,
             registry: Registry::new(cfg.registry_cap, cfg.budget, sink.clone()),
@@ -312,31 +422,23 @@ impl ServeHandle {
             access: cfg.access_log.map(Mutex::new),
             max_frame: cfg.max_frame,
             max_timeout: cfg.max_timeout,
-            workers,
-            shutdown: AtomicBool::new(false),
-            jobs: Mutex::new(Some(tx)),
+            gate: Gate {
+                workers: cfg.workers.max(1),
+                queue_depth: cfg.queue_depth.max(1),
+                state: Mutex::default(),
+                freed: Condvar::new(),
+            },
             connections: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
         });
-        let mut threads = Vec::new();
-        // Worker pool: shared receiver behind a mutex (std mpsc is
-        // single-consumer; the hand-off cost is dwarfed by the search).
-        let rx = Arc::new(Mutex::new(rx));
-        for _ in 0..workers {
-            let rx = Arc::clone(&rx);
+        let accept = {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&rx, &shared)));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || accept_loop(listener, &shared)));
-        }
+            std::thread::spawn(move || accept_loop(listener, &shared))
+        };
         Ok(ServeHandle {
             addr,
             shared,
-            threads,
+            accept,
         })
     }
 
@@ -360,43 +462,21 @@ impl ServeHandle {
         Arc::clone(&self.shared.metrics)
     }
 
-    /// Begins graceful shutdown and joins the accept thread and worker
-    /// pool (queued queries complete first). Connection threads exit as
-    /// their clients disconnect or issue their next request.
-    pub fn shutdown(mut self) {
-        self.shared.begin_shutdown();
+    /// Begins graceful shutdown and returns once the accept thread has
+    /// exited and every admitted query has written its reply.
+    /// Connection threads exit as their clients disconnect or issue
+    /// their next request.
+    pub fn shutdown(self) {
+        self.shared.gate.close();
         self.shared.wake_accept();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.wait();
     }
 
-    /// Blocks until the server shuts down (via a `shutdown` request).
-    pub fn wait(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<Job>>>, shared: &Arc<Shared>) {
-    loop {
-        let mut job = match rx.lock().expect("worker rx lock").recv() {
-            Ok(job) => job,
-            Err(_) => return, // sender closed: drained, exit
-        };
-        shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let result = engine::execute_query(
-            &job.entry,
-            &shared.cache,
-            shared.sink.as_ref(),
-            &job.req,
-            shared.max_timeout,
-            &mut job.trace,
-        );
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.reply.send((result, job.trace));
+    /// Blocks until the server shuts down (via a `shutdown` request)
+    /// and the drain is over.
+    pub fn wait(self) {
+        let _ = self.accept.join();
+        self.shared.gate.drain();
     }
 }
 
@@ -405,7 +485,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         let accepted = listener.accept();
         // Checked after every accept: the shutdown wake is a connection
         // (dropped here), as is any client racing the shutdown.
-        if shared.shutting_down() {
+        if shared.gate.lock().closed {
             return;
         }
         match accepted {
@@ -413,6 +493,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 // One request-response per round trip: Nagle + delayed
                 // ACK would add ~40ms to every reply.
                 stream.set_nodelay(true).ok();
+                // A client that stops reading fails its own connection
+                // after this long instead of holding the drain open.
+                stream.set_write_timeout(Some(shared.max_timeout)).ok();
                 shared.connections.fetch_add(1, Ordering::SeqCst);
                 shared.connections_open.fetch_add(1, Ordering::SeqCst);
                 let shared = Arc::clone(shared);
@@ -429,81 +512,44 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 }
 
 /// Reads one newline-terminated line of at most `max` bytes. Returns
-/// `Ok(None)` on a clean EOF, `Err(Some(err))` when the line was too
-/// long (the rest of the line is consumed so the connection stays
-/// usable).
+/// `Ok(Ok(None))` on a clean EOF and `Ok(Err(err))` when the line was
+/// too long (the rest of the line is consumed so the connection stays
+/// usable) or not UTF-8.
 fn read_bounded_line(
     reader: &mut BufReader<TcpStream>,
     max: usize,
 ) -> std::io::Result<Result<Option<String>, WireError>> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflow = false;
-    loop {
-        let mut byte = [0u8; 1];
-        let n = loop {
-            match reader.read(&mut byte) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        };
-        if n == 0 {
-            if buf.is_empty() && !overflow {
-                return Ok(Ok(None));
-            }
-            break;
-        }
-        if byte[0] == b'\n' {
-            break;
-        }
-        if buf.len() >= max {
-            overflow = true;
-            buf.clear(); // keep consuming to the newline, discard payload
-            continue;
-        }
-        buf.push(byte[0]);
-    }
-    if overflow {
+    let mut buf = Vec::new();
+    let limit = (max as u64).saturating_add(1);
+    reader.by_ref().take(limit).read_until(b'\n', &mut buf)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > max {
+        reader.skip_until(b'\n')?;
         return Ok(Err(WireError::new(
             ErrorKind::TooLarge,
             format!("frame exceeds limit of {max} bytes"),
         )));
+    } else if buf.is_empty() {
+        return Ok(Ok(None));
     }
-    match String::from_utf8(buf) {
-        Ok(mut s) => {
-            if s.ends_with('\r') {
-                s.pop();
-            }
-            Ok(Ok(Some(s)))
-        }
-        Err(_) => Ok(Err(WireError::new(
-            ErrorKind::Parse,
-            "request is not valid UTF-8",
-        ))),
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
     }
-}
-
-fn put_id(j: &mut JsonBuf, id: Option<u64>) {
-    match id {
-        Some(id) => j.u64_field("id", id),
-        None => j.null_field("id"),
-    };
+    Ok(String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| WireError::new(ErrorKind::Parse, "request is not valid UTF-8")))
 }
 
 fn flag_response(id: Option<u64>, flag: &str) -> String {
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    put_id(&mut j, id);
-    j.bool_field("ok", true).bool_field(flag, true).end_obj();
+    let mut j = proto::begin_response(id, true);
+    j.bool_field(flag, true).end_obj();
     j.finish()
 }
 
 fn metrics_response(shared: &Shared, id: Option<u64>, prom: bool) -> String {
     let gauges = shared.scrape_gauges();
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    put_id(&mut j, id);
-    j.bool_field("ok", true);
+    let mut j = proto::begin_response(id, true);
     if prom {
         j.str_field("format", "prometheus");
         j.str_field("text", &shared.metrics.render_prom(&gauges));
@@ -519,10 +565,7 @@ fn metrics_response(shared: &Shared, id: Option<u64>, prom: bool) -> String {
 fn slowlog_response(shared: &Shared, id: Option<u64>, limit: Option<u64>) -> String {
     let limit = limit.map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX));
     let entries = shared.metrics.slowlog_tail(limit);
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    put_id(&mut j, id);
-    j.bool_field("ok", true);
+    let mut j = proto::begin_response(id, true);
     j.begin_arr_field("entries");
     for e in &entries {
         j.raw_elem(&e.to_json());
@@ -534,11 +577,8 @@ fn slowlog_response(shared: &Shared, id: Option<u64>, limit: Option<u64>) -> Str
 
 fn register_response(id: Option<u64>, entry: &SystemEntry, fresh: bool) -> String {
     let u = entry.system.universe();
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    put_id(&mut j, id);
-    j.bool_field("ok", true)
-        .u64_field("system", entry.key)
+    let mut j = proto::begin_response(id, true);
+    j.u64_field("system", entry.key)
         .str_field("desc", &entry.desc)
         .bool_field("fresh", fresh);
     j.begin_arr_field("objects");
@@ -556,9 +596,8 @@ fn handle_register(
     desc: &proto::SystemDesc,
     trace: &mut RequestTrace,
 ) -> Done {
-    if shared.shutting_down() {
-        let err = WireError::new(ErrorKind::ShuttingDown, "server is draining");
-        return Done::err(Method::Register, id, &err);
+    if shared.gate.lock().closed {
+        return Done::err(Method::Register, id, &draining());
     }
     // Registration *is* the compile phase: a fresh description parses
     // and compiles here, outside the registry's map lock.
@@ -574,72 +613,54 @@ fn handle_register(
     }
 }
 
-fn handle_query(shared: &Shared, id: Option<u64>, req: QueryReq, trace: &mut RequestTrace) -> Done {
+/// Runs a query on the calling connection thread. Its admission is left
+/// in `held` for the caller to hand on and release around the reply.
+fn handle_query<'s>(
+    shared: &'s Shared,
+    id: Option<u64>,
+    req: QueryReq,
+    trace: &mut RequestTrace,
+    held: &mut Option<Admitted<'s>>,
+) -> Done {
     let method = Method::from_kind(req.kind);
-    if shared.shutting_down() {
-        let err = WireError::new(ErrorKind::ShuttingDown, "server is draining");
-        return Done::err(method, id, &err);
-    }
     let system = req.system;
     let Some(entry) = shared.registry.get(system) else {
-        let err = WireError::new(
-            ErrorKind::UnknownSystem,
-            format!("system {system} is not registered"),
-        );
+        // A registered system's query learns of a shutdown from the gate.
+        let err = if shared.gate.lock().closed {
+            draining()
+        } else {
+            WireError::new(
+                ErrorKind::UnknownSystem,
+                format!("system {system} is not registered"),
+            )
+        };
         return Done::err(method, id, &err);
     };
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    // The trace travels with the job so worker-side phases (cache,
-    // compile, search, serialize) land on this request; it comes back
-    // with the reply. `take` leaves a fresh trace behind, immediately
-    // overwritten on every path below.
-    let job = Job {
-        entry,
-        req,
-        trace: std::mem::take(trace),
-        reply: reply_tx,
-    };
-    shared.queue_depth.fetch_add(1, Ordering::SeqCst);
-    let submit = {
-        let guard = shared.jobs.lock().expect("jobs lock");
-        match &*guard {
-            Some(tx) => tx.try_send(job),
-            None => Err(TrySendError::Disconnected(job)),
+    let result = shared.gate.admit().and_then(|admitted| {
+        *held = Some(admitted);
+        engine::execute_query(
+            &entry,
+            &shared.cache,
+            shared.sink.as_ref(),
+            &req,
+            shared.max_timeout,
+            trace,
+        )
+    });
+    let mut d = match result {
+        Ok(out) => {
+            let response = trace.time(Phase::Serialize, || {
+                proto::encode_query_ok(id, &out.answer, out.cached, out.report.as_ref())
+            });
+            let mut d = Done::ok(method, response);
+            d.cached = out.cached;
+            d.cold = !out.cached;
+            d.fingerprint = out.fingerprint;
+            d.report = out.report;
+            d
         }
+        Err(err) => Done::err(method, id, &err),
     };
-    let err = match submit {
-        Ok(()) => match reply_rx.recv() {
-            Ok((Ok(out), t)) => {
-                *trace = t;
-                let response = trace.time(Phase::Serialize, || {
-                    proto::encode_query_ok(id, &out.answer, out.cached, out.report.as_ref())
-                });
-                let mut d = Done::ok(method, response);
-                d.cached = out.cached;
-                d.cold = !out.cached;
-                d.system = Some(system);
-                d.fingerprint = out.fingerprint;
-                d.report = out.report;
-                return d;
-            }
-            Ok((Err(err), t)) => {
-                *trace = t;
-                err
-            }
-            Err(_) => WireError::new(ErrorKind::ShuttingDown, "worker pool stopped"),
-        },
-        Err(TrySendError::Full(job)) => {
-            shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            *trace = job.trace;
-            WireError::new(ErrorKind::Overloaded, "admission queue full; retry later")
-        }
-        Err(TrySendError::Disconnected(job)) => {
-            shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            *trace = job.trace;
-            WireError::new(ErrorKind::ShuttingDown, "server is draining")
-        }
-    };
-    let mut d = Done::err(method, id, &err);
     d.system = Some(system);
     d
 }
@@ -648,56 +669,47 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
+        let read = read_bounded_line(&mut reader, shared.max_frame)?;
         // The trace clock starts once a line has arrived: time blocked
         // on the client is not request time.
-        let (line, mut trace) = match read_bounded_line(&mut reader, shared.max_frame)? {
+        let mut trace = RequestTrace::start();
+        let frame = match read {
             Ok(None) => return Ok(()), // clean disconnect
-            Ok(Some(line)) => (line, RequestTrace::start()),
-            Err(err) => {
-                let mut trace = RequestTrace::start();
-                let done = Done::err(Method::Unknown, None, &err);
-                let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
-                shared.observe_and_log(None, &done, &trace);
-                wres?;
-                continue;
-            }
+            Ok(Some(line)) if line.trim().is_empty() => continue,
+            Ok(Some(line)) => trace.time(Phase::Parse, || proto::parse_frame(&line)),
+            Err(err) => Err(err),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let frame = match trace.time(Phase::Parse, || proto::parse_frame(&line)) {
-            Ok(frame) => frame,
-            Err(err) => {
-                let done = Done::err(Method::Unknown, None, &err);
-                let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
-                shared.observe_and_log(None, &done, &trace);
-                wres?;
-                continue;
-            }
-        };
-        let id = frame.id;
-        let done = match frame.req {
-            Request::Ping => Done::ok(Method::Ping, flag_response(id, "pong")),
-            Request::Metrics { prom } => Done::ok(
+        let id = frame.as_ref().ok().and_then(|f| f.id);
+        let mut held = None;
+        let done = match frame.map(|f| f.req) {
+            Err(err) => Done::err(Method::Unknown, None, &err),
+            Ok(Request::Ping) => Done::ok(Method::Ping, flag_response(id, "pong")),
+            Ok(Request::Metrics { prom }) => Done::ok(
                 Method::Metrics,
                 trace.time(Phase::Serialize, || metrics_response(shared, id, prom)),
             ),
-            Request::SlowLog { limit } => Done::ok(
+            Ok(Request::SlowLog { limit }) => Done::ok(
                 Method::SlowLog,
                 trace.time(Phase::Serialize, || slowlog_response(shared, id, limit)),
             ),
-            Request::Shutdown => {
-                shared.begin_shutdown();
+            Ok(Request::Shutdown) => {
+                shared.gate.close();
                 Done::ok(Method::Shutdown, flag_response(id, "shutting_down"))
             }
-            Request::Register(desc) => handle_register(shared, id, &desc, &mut trace),
-            Request::Query(q) => handle_query(shared, id, q, &mut trace),
+            Ok(Request::Register(desc)) => handle_register(shared, id, &desc, &mut trace),
+            Ok(Request::Query(q)) => handle_query(shared, id, q, &mut trace, &mut held),
         };
+        // A client slow to read must block only its own connection.
+        if let Some(admitted) = &mut held {
+            admitted.replying();
+        }
         let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
         // Observe after the write so the trace's write phase and total
         // cover the full request. A scrape therefore does not count
         // itself — the mix a test issues is exactly what it reads back.
         shared.observe_and_log(id, &done, &trace);
+        // The drain waits for a query until its reply is written.
+        drop(held);
         if done.method == Method::Shutdown {
             // Only now that the reply is written may the accept thread
             // stop (see the module docs on shutdown ordering).

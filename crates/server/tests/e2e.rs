@@ -198,6 +198,45 @@ fn malformed_frames_keep_the_connection_usable() {
     handle.shutdown();
 }
 
+/// Line framing: CRLF endings are accepted, blank lines get no reply, a
+/// line that is not UTF-8 is a `parse` error, and a frame of exactly
+/// `max_frame` bytes is served while one byte more is `too_large`.
+#[test]
+fn framing_handles_crlf_blank_lines_utf8_and_the_limit() {
+    let handle = spawn(None);
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut roundtrip = |bytes: &[u8]| -> String {
+        writer.write_all(bytes).unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        resp
+    };
+
+    let resp = roundtrip(b"{\"id\":1,\"method\":\"ping\"}\r\n");
+    assert!(resp.contains(r#""id":1,"ok":true"#), "{resp}");
+    // The blank lines are skipped: the next reply is the ping's.
+    let resp = roundtrip(b"\n\r\n  \n{\"id\":2,\"method\":\"ping\"}\n");
+    assert!(resp.contains(r#""id":2,"ok":true"#), "{resp}");
+    let resp = roundtrip(b"{\"method\":\"ping\xff\"}\n");
+    assert!(resp.contains(r#""kind":"parse""#), "{resp}");
+
+    // max_frame is 4096 in the test config.
+    let frame = |len: usize| {
+        let head = r#"{"id":3,"method":"ping","pad":""#;
+        let pad = "z".repeat(len - head.len() - 2);
+        format!("{head}{pad}\"}}\n")
+    };
+    let resp = roundtrip(frame(4096).as_bytes());
+    assert!(resp.contains(r#""id":3,"ok":true"#), "{resp}");
+    let resp = roundtrip(frame(4097).as_bytes());
+    assert!(resp.contains(r#""kind":"too_large""#), "{resp}");
+    let resp = roundtrip(b"{\"id\":4,\"method\":\"ping\"}\n");
+    assert!(resp.contains(r#""id":4,"ok":true"#), "{resp}");
+    handle.shutdown();
+}
+
 /// Graceful shutdown: a `shutdown` request drains in-flight work; open
 /// connections get structured `shutting_down` errors for new queries;
 /// the server threads all exit.
