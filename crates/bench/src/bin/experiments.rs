@@ -4,6 +4,10 @@
 //! reproduces one worked example, theorem or claim from the paper. Run
 //! with `cargo run -p sd-bench --bin experiments --release`.
 //!
+//! `--sat-enum` times the Sat(φ) enumeration — the reference scan of
+//! every state against the per-object normal form — and writes
+//! `BENCH_sat_enum.json`.
+//!
 //! `--telemetry OUT.jsonl` instead runs a short instrumented workload
 //! (cold + warm `sinks_matrix` sweeps and a witness query against a
 //! shared Oracle) and writes every [`sd_core::QueryEvent`] as one JSON
@@ -32,6 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "p2" => p2_pair_bfs()?,
             "p3" => p3_static_vs_semantic()?,
             "p5" => p5_provers()?,
+            "--sat-enum" => sat_enum()?,
             "--telemetry" => {
                 let out = std::env::args()
                     .nth(2)
@@ -39,9 +44,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 telemetry_log(&out)?;
             }
             other => {
-                return Err(
-                    format!("unknown section {other:?} (try p2, p3, p5, --telemetry)").into(),
+                return Err(format!(
+                    "unknown section {other:?} (try p2, p3, p5, --sat-enum, --telemetry)"
                 )
+                .into())
             }
         }
         return Ok(());
@@ -1102,6 +1108,145 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
     );
     std::fs::write("BENCH_pair_bfs.json", json)?;
     println!("wrote BENCH_pair_bfs.json");
+    Ok(())
+}
+
+/// The `sdbench` cold_search program above the dense-table budget
+/// (3,670,016 states), copied from `sdbench/src/gen.rs`.
+const BIG_PROGRAM: &str = "var x: int 0..15;
+var y: int 0..15;
+var z: int 0..15;
+var w: int 0..15;
+var f: bool;
+var g: bool;
+var h: bool;
+if f { y := x; }
+if x < 8 { z := y; } else { z := w; }
+if g { w := z; }
+y := (y + w) % 16;
+if z == 3 { f := true; }
+if h { g := f; }
+";
+
+/// `--sat-enum`: Sat(φ) enumeration, the reference scan of every state
+/// (`depend::sat_codes_scan`) against the per-object normal form
+/// (`depend::sat_codes`), on the cold_search big-program φ, the
+/// mod_adder φ families and one residual-heavy φ. Each timing is the
+/// median and interquartile range of 5 runs; the two enumerations are
+/// checked to be identical. Writes `BENCH_sat_enum.json`.
+fn sat_enum() -> Result<(), Box<dyn std::error::Error>> {
+    use sd_core::depend::{sat_codes, sat_codes_scan};
+
+    println!("\n== Sat(φ) enumeration — full scan vs per-object normal form ==");
+    let big = sd_lang::compile(&sd_lang::parse(BIG_PROGRAM)?)?.system;
+    let systems: Vec<(&str, sd_core::System, Vec<&str>)> = vec![
+        (
+            "cold_search big program",
+            big,
+            vec![
+                "pc == 1 && x == 3 && f",
+                "pc == 1 && z == 5 && !h",
+                "pc == 1 && x < y && f",
+            ],
+        ),
+        (
+            "mod_adder(5)",
+            examples::mod_adder_system(5)?,
+            vec![
+                "a2 == 7 && beta < 12",
+                "a1 < 9 && a2 == 4",
+                "beta == 3 && a1 < 10",
+            ],
+        ),
+        (
+            "mod_adder(7)",
+            examples::mod_adder_system(7)?,
+            vec!["a1 == 3 && a2 < 4", "a2 == 100 && beta < 64"],
+        ),
+    ];
+    // Median and interquartile range of 5 runs, in ms; the quartiles
+    // follow Python's `statistics.quantiles(n=4)`.
+    let time5 =
+        |f: &dyn Fn() -> sd_core::Result<Vec<u64>>| -> sd_core::Result<(f64, f64, Vec<u64>)> {
+            let mut ms = Vec::new();
+            let mut codes = Vec::new();
+            for _ in 0..5 {
+                let t = Instant::now();
+                codes = f()?;
+                ms.push(t.elapsed().as_secs_f64() * 1e3);
+            }
+            ms.sort_by(f64::total_cmp);
+            Ok((ms[2], (ms[3] + ms[4]) / 2.0 - (ms[0] + ms[1]) / 2.0, codes))
+        };
+    let git_rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+
+    let mut t = Table::new(&[
+        "system",
+        "φ",
+        "|Σ|",
+        "|Sat|",
+        "scan ms",
+        "normal form ms",
+        "speedup",
+    ]);
+    let mut json_rows = Vec::new();
+    for (name, sys, phis) in &systems {
+        let states = sys.state_count()?;
+        for src in phis {
+            let phi = sd_lang::lower_phi(sys.universe(), src)?;
+            let (scan_ms, scan_iqr, scan) = time5(&|| sat_codes_scan(sys, &phi))?;
+            let (nf_ms, nf_iqr, codes) = time5(&|| sat_codes(sys, &phi))?;
+            assert_eq!(codes, scan, "normal form differs from the scan on {src}");
+            t.row(&[
+                name.to_string(),
+                src.to_string(),
+                states.to_string(),
+                codes.len().to_string(),
+                format!("{scan_ms:.3} ± {scan_iqr:.3}"),
+                format!("{nf_ms:.3} ± {nf_iqr:.3}"),
+                format!("{:.0}x", scan_ms / nf_ms),
+            ]);
+            json_rows.push(format!(
+                concat!(
+                    "    {{\"system\": {:?}, \"phi\": {:?}, \"states\": {}, \"sat\": {}, ",
+                    "\"scan_ms\": {:.3}, \"scan_iqr_ms\": {:.3}, ",
+                    "\"normal_form_ms\": {:.4}, \"normal_form_iqr_ms\": {:.4}, ",
+                    "\"runs\": 5, \"git_rev\": {:?}, \"cores\": {}, \"profile\": {:?}}}"
+                ),
+                name,
+                src,
+                states,
+                codes.len(),
+                scan_ms,
+                scan_iqr,
+                nf_ms,
+                nf_iqr,
+                git_rev,
+                cores,
+                profile
+            ));
+        }
+    }
+    print!("{}", t.render());
+    println!("(median ± interquartile range of 5 runs; {cores} cores, {profile})");
+    let json = format!(
+        "{{\n  \"benchmark\": \"sat_enum\",\n  \"unit\": \"wall_ms\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        json_rows.join(",\n")
+    );
+    std::fs::write("BENCH_sat_enum.json", json)?;
+    println!("wrote BENCH_sat_enum.json");
     Ok(())
 }
 

@@ -7,11 +7,14 @@
 //! space, which is the representation every decision procedure works on.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::bitset::BitSet;
+use crate::depend;
 use crate::error::Result;
 use crate::expr::Expr;
+use crate::fastmap::Fnv64;
 use crate::state::State;
 use crate::system::System;
 
@@ -109,8 +112,24 @@ impl Phi {
     /// canonical identity (and pointer identity is unsound as a cache
     /// key once an `Arc` is dropped and its address reused), so such
     /// constraints are not fingerprintable.
-    pub(crate) fn fingerprint_into(&self, h: &mut crate::fastmap::Fnv64) -> bool {
-        use std::hash::{Hash, Hasher};
+    pub(crate) fn fingerprint_into(&self, h: &mut Fnv64) -> bool {
+        self.hash_into(h, false)
+    }
+
+    /// Feeds the constraint into `h` for interning Sat(φ) inside an
+    /// [`crate::oracle::Oracle`]. A native predicate hashes its name and
+    /// its closure's address; the address is stable for as long as the
+    /// interned entry holds the `Arc`. A hash is not an identity: every
+    /// hit is confirmed with [`Phi::cache_eq`].
+    pub(crate) fn cache_hash_into(&self, h: &mut impl Hasher) {
+        self.hash_into(h, true);
+    }
+
+    /// The tagged encoding behind [`Phi::fingerprint_into`] and
+    /// [`Phi::cache_hash_into`]. A native predicate is hashed by name and
+    /// address when `pred_addresses` is set; otherwise it makes the
+    /// encoding fail (`false`).
+    fn hash_into(&self, h: &mut impl Hasher, pred_addresses: bool) -> bool {
         match self {
             Phi::True => h.write_u8(1),
             Phi::False => h.write_u8(2),
@@ -118,22 +137,29 @@ impl Phi {
                 h.write_u8(3);
                 e.hash(h);
             }
-            Phi::Pred { .. } => return false,
+            Phi::Pred { name, f } => {
+                if !pred_addresses {
+                    return false;
+                }
+                h.write_u8(4);
+                name.hash(h);
+                h.write_usize(Arc::as_ptr(f) as *const () as usize);
+            }
             Phi::Set(s) => {
                 h.write_u8(5);
                 s.hash(h);
             }
             Phi::Not(p) => {
                 h.write_u8(6);
-                return p.fingerprint_into(h);
+                return p.hash_into(h, pred_addresses);
             }
             Phi::And(a, b) => {
                 h.write_u8(7);
-                return a.fingerprint_into(h) && b.fingerprint_into(h);
+                return a.hash_into(h, pred_addresses) && b.hash_into(h, pred_addresses);
             }
             Phi::Or(a, b) => {
                 h.write_u8(8);
-                return a.fingerprint_into(h) && b.fingerprint_into(h);
+                return a.hash_into(h, pred_addresses) && b.hash_into(h, pred_addresses);
             }
         }
         true
@@ -169,29 +195,22 @@ impl Phi {
     /// ```
     pub fn sat(&self, sys: &System) -> Result<StateSet> {
         let n = sys.state_count()?;
-        // Fast paths for extensional and trivial constraints.
+        // Whole sets are built directly; everything else (including an
+        // extensional set built against another system, which is
+        // re-homed) comes from the one Sat(φ) sweep.
         match self {
             Phi::True => return Ok(StateSet::full(n)),
-            Phi::False => return Ok(StateSet::new(n)),
             Phi::Set(s) => {
-                let mut out = s.clone();
-                debug_assert_eq!(out.capacity(), n);
-                if out.capacity() != n {
-                    // Defensive: re-home a set built against another system.
-                    out = StateSet::new(n);
-                    for i in s.iter().filter(|&i| i < n) {
-                        out.insert(i);
-                    }
+                debug_assert_eq!(s.capacity(), n);
+                if s.capacity() == n {
+                    return Ok(s.clone());
                 }
-                return Ok(out);
             }
             _ => {}
         }
         let mut out = StateSet::new(n);
-        for sigma in sys.states()? {
-            if self.holds(sys, &sigma)? {
-                out.insert(sigma.encode(sys.universe()));
-            }
+        for code in depend::sat_codes(sys, self)? {
+            out.insert(code);
         }
         Ok(out)
     }

@@ -12,6 +12,7 @@
 
 use crate::constraint::Phi;
 use crate::error::Result;
+use crate::expr::{BinOp, Expr};
 use crate::fastmap::U64Map;
 use crate::history::History;
 use crate::state::State;
@@ -30,26 +31,274 @@ pub struct Witness {
 /// Enumerates `Sat(φ)` as ascending state codes.
 ///
 /// Extensional and trivial constraints short-circuit without touching
-/// the state space; everything else is one enumeration pass. This is the
-/// single Sat(φ) sweep shared by [`SatPartition`], [`crate::reach`] and
-/// the worth matrix.
+/// the state space. Any other φ is lowered to a per-object normal form
+/// when that is exact: each conjunct is tabulated over the objects it
+/// reads, one-object conjuncts narrow that object's allowed values, and
+/// Sat(φ) is enumerated from the product of the allowed values, filtered
+/// by the remaining tables, so the cost follows the number of candidates
+/// rather than |Σ|. Otherwise — a native predicate, a nested
+/// extensional set, a conjunct too wide to tabulate, or one that errors
+/// somewhere on its read set — it falls back to [`sat_codes_scan`], so
+/// every `Err` is the scan's own. This is the single Sat(φ) sweep shared
+/// by [`SatPartition`], [`crate::reach`], [`Phi::sat`] and the worth
+/// matrix.
 pub fn sat_codes(sys: &System, phi: &Phi) -> Result<Vec<u64>> {
     let n = sys.state_count()?;
     match phi {
         Phi::True => Ok((0..n).collect()),
         Phi::False => Ok(Vec::new()),
         Phi::Set(s) => Ok(s.iter().filter(|&i| i < n).collect()),
-        _ => {
-            let mut out = Vec::new();
-            // `StateIter` yields states in encoding order, so a running
-            // counter doubles as the code (checked by the state
-            // round-trip property tests).
-            for (code, sigma) in (0..n).zip(sys.states()?) {
-                if phi.holds(sys, &sigma)? {
-                    out.push(code);
+        _ => match NormalForm::lower(sys, phi) {
+            Some(nf) => Ok(nf.codes(sys.universe())),
+            None => sat_codes_scan(sys, phi),
+        },
+    }
+}
+
+/// The reference Sat(φ) enumeration: decodes every state and evaluates φ
+/// on it, in code order, returning the first error it meets.
+/// [`sat_codes`] falls back to it whenever the normal form is not exact.
+pub fn sat_codes_scan(sys: &System, phi: &Phi) -> Result<Vec<u64>> {
+    let n = sys.state_count()?;
+    let mut out = Vec::new();
+    // `StateIter` yields states in encoding order, so a running counter
+    // doubles as the code (checked by the state round-trip property
+    // tests).
+    for (code, sigma) in (0..n).zip(sys.states()?) {
+        if phi.holds(sys, &sigma)? {
+            out.push(code);
+        }
+    }
+    Ok(out)
+}
+
+/// A residual conjunct is tabulated only when its read set has at most
+/// this many points; a wider one sends φ to the scan.
+const TABLE_CAP: u64 = 1 << 16;
+
+/// φ lowered to a per-object normal form: `⋀ σ.α ∈ allowed[α] ∧ ⋀ ρ(σ)`.
+///
+/// φ is flattened through `Phi::And` and boolean `Expr` `∧` into
+/// conjuncts. Each conjunct is tabulated over the full domains of the
+/// objects it reads. A conjunct reading one object narrows that object's
+/// allowed indices; any other is kept as a residual table `ρ`. Lowering
+/// succeeds only when every conjunct evaluates without error on every
+/// point of its read set: then φ is total, `∧`'s short-circuit order
+/// cannot matter, and Sat(φ) is exactly the candidates of the product
+/// that pass every residual.
+#[derive(Debug)]
+pub(crate) struct NormalForm {
+    /// Per object (by index), its allowed domain indices, ascending.
+    allowed: Vec<Vec<u32>>,
+    residuals: Vec<Residual>,
+}
+
+/// A conjunct over several (or no) objects, as a truth table.
+#[derive(Debug)]
+struct Residual {
+    /// `(object index, table stride)`, the last read object fastest.
+    reads: Vec<(usize, usize)>,
+    table: Vec<bool>,
+}
+
+impl Residual {
+    fn holds(&self, digits: &[u32]) -> bool {
+        let at: usize = self
+            .reads
+            .iter()
+            .map(|&(obj, stride)| digits[obj] as usize * stride)
+            .sum();
+        self.table[at]
+    }
+}
+
+/// One conjunct of a flattened φ.
+enum Conjunct<'a> {
+    Phi(&'a Phi),
+    Expr(&'a Expr),
+}
+
+impl Conjunct<'_> {
+    /// The objects the conjunct reads; `false` if it contains a native
+    /// predicate or an extensional set (which read the whole state).
+    fn reads(&self, out: &mut Vec<ObjId>) -> bool {
+        fn phi_reads(phi: &Phi, out: &mut Vec<ObjId>) -> bool {
+            match phi {
+                Phi::True | Phi::False => true,
+                Phi::Expr(e) => {
+                    e.reads(out);
+                    true
+                }
+                Phi::Pred { .. } | Phi::Set(_) => false,
+                Phi::Not(p) => phi_reads(p, out),
+                Phi::And(a, b) | Phi::Or(a, b) => phi_reads(a, out) && phi_reads(b, out),
+            }
+        }
+        match self {
+            Conjunct::Phi(p) => phi_reads(p, out),
+            Conjunct::Expr(e) => {
+                e.reads(out);
+                true
+            }
+        }
+    }
+
+    fn holds(&self, sys: &System, sigma: &State) -> Result<bool> {
+        match self {
+            Conjunct::Phi(p) => p.holds(sys, sigma),
+            Conjunct::Expr(e) => e.eval_bool(sys.universe(), sigma),
+        }
+    }
+}
+
+fn flatten<'a>(phi: &'a Phi, out: &mut Vec<Conjunct<'a>>) {
+    fn flatten_expr<'a>(e: &'a Expr, out: &mut Vec<Conjunct<'a>>) {
+        match e {
+            Expr::Bin(BinOp::And, l, r) => {
+                flatten_expr(l, out);
+                flatten_expr(r, out);
+            }
+            other => out.push(Conjunct::Expr(other)),
+        }
+    }
+    match phi {
+        Phi::And(a, b) => {
+            flatten(a, out);
+            flatten(b, out);
+        }
+        Phi::Expr(e) => flatten_expr(e, out),
+        other => out.push(Conjunct::Phi(other)),
+    }
+}
+
+impl NormalForm {
+    /// Lowers φ, or `None` when the normal form would not be exact (see
+    /// [`sat_codes`]).
+    pub(crate) fn lower(sys: &System, phi: &Phi) -> Option<NormalForm> {
+        let u = sys.universe();
+        let mut conjuncts = Vec::new();
+        flatten(phi, &mut conjuncts);
+        let mut allowed: Vec<Vec<u32>> = u
+            .objects()
+            .map(|obj| (0..u.domain(obj).size() as u32).collect())
+            .collect();
+        let mut residuals = Vec::new();
+        let mut sigma = State::from_indices(vec![0; u.num_objects()]);
+        for c in &conjuncts {
+            let mut reads = Vec::new();
+            if !c.reads(&mut reads) {
+                return None;
+            }
+            reads.sort_unstable();
+            reads.dedup();
+            let table = tabulate(sys, c, &reads, &mut sigma)?;
+            match reads[..] {
+                [obj] => allowed[obj.index()].retain(|&v| table[v as usize]),
+                _ => {
+                    let mut stride = table.len();
+                    let reads = reads
+                        .iter()
+                        .map(|&obj| {
+                            stride /= u.domain(obj).size();
+                            (obj.index(), stride)
+                        })
+                        .collect();
+                    residuals.push(Residual { reads, table });
                 }
             }
-            Ok(out)
+        }
+        Some(NormalForm { allowed, residuals })
+    }
+
+    /// The size of the product of allowed values: how many candidates
+    /// [`NormalForm::codes`] walks.
+    pub(crate) fn candidates(&self) -> u64 {
+        self.allowed.iter().map(|a| a.len() as u64).product()
+    }
+
+    /// Walks the product of allowed indices in mixed-radix order (last
+    /// object fastest, as in the state encoding), so codes come out
+    /// ascending, keeping each candidate every residual accepts.
+    pub(crate) fn codes(&self, u: &Universe) -> Vec<u64> {
+        let mut out = Vec::new();
+        if self.allowed.iter().any(Vec::is_empty) {
+            return out;
+        }
+        if self.residuals.is_empty() {
+            out.reserve_exact(self.candidates() as usize);
+        }
+        let strides: Vec<u64> = u.objects().map(|obj| u.stride(obj) as u64).collect();
+        let mut pos = vec![0usize; self.allowed.len()];
+        let mut digits: Vec<u32> = self.allowed.iter().map(|a| a[0]).collect();
+        let mut code: u64 = digits
+            .iter()
+            .zip(&strides)
+            .map(|(&d, &s)| d as u64 * s)
+            .sum();
+        loop {
+            if self.residuals.iter().all(|r| r.holds(&digits)) {
+                out.push(code);
+            }
+            // Advance the odometer, carrying leftwards.
+            let mut i = self.allowed.len();
+            loop {
+                if i == 0 {
+                    return out;
+                }
+                i -= 1;
+                let vals = &self.allowed[i];
+                code -= digits[i] as u64 * strides[i];
+                pos[i] += 1;
+                let carry = pos[i] == vals.len();
+                if carry {
+                    pos[i] = 0;
+                }
+                digits[i] = vals[pos[i]];
+                code += digits[i] as u64 * strides[i];
+                if !carry {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// The truth table of one conjunct over the full domains of `reads`
+/// (mixed radix, last object fastest), or `None` when the read set has
+/// more than [`TABLE_CAP`] points or the conjunct errors on any of them.
+/// `sigma` is scratch: only its `reads` coordinates are written.
+fn tabulate(
+    sys: &System,
+    c: &Conjunct<'_>,
+    reads: &[ObjId],
+    sigma: &mut State,
+) -> Option<Vec<bool>> {
+    let u = sys.universe();
+    let points = reads
+        .iter()
+        .try_fold(1u64, |acc, &obj| {
+            acc.checked_mul(u.domain(obj).size() as u64)
+        })
+        .filter(|&p| p <= TABLE_CAP)?;
+    let mut table = Vec::with_capacity(points as usize);
+    for &obj in reads {
+        sigma.set_index(obj, 0);
+    }
+    loop {
+        table.push(c.holds(sys, sigma).ok()?);
+        let mut i = reads.len();
+        loop {
+            if i == 0 {
+                return Some(table);
+            }
+            i -= 1;
+            let obj = reads[i];
+            let next = sigma.index(obj) + 1;
+            if (next as usize) < u.domain(obj).size() {
+                sigma.set_index(obj, next);
+                break;
+            }
+            sigma.set_index(obj, 0);
         }
     }
 }
@@ -546,6 +795,110 @@ mod tests {
             sys.state_count().unwrap()
         );
         assert!(sat_codes(&sys, &Phi::False).unwrap().is_empty());
+    }
+
+    /// Sat(φ) from the normal form, checked against the scan, and the
+    /// number of candidates the normal form walked.
+    fn sat_and_candidates(sys: &System, phi: &Phi) -> (usize, u64) {
+        let nf = NormalForm::lower(sys, phi).expect("φ lowers exactly");
+        let codes = sat_codes(sys, phi).unwrap();
+        assert_eq!(codes, sat_codes_scan(sys, phi).unwrap());
+        (codes.len(), nf.candidates())
+    }
+
+    #[test]
+    fn normal_form_walks_sat_not_sigma() {
+        // The universe the `sdbench` cold_search big program compiles
+        // to: its declarations, then `pc` over the 6 statement labels
+        // plus exit. The program text:
+        //
+        //   var x: int 0..15; var y: int 0..15; var z: int 0..15;
+        //   var w: int 0..15; var f: bool; var g: bool; var h: bool;
+        //   if f { y := x; }
+        //   if x < 8 { z := y; } else { z := w; }
+        //   if g { w := z; }
+        //   y := (y + w) % 16;
+        //   if z == 3 { f := true; }
+        //   if h { g := f; }
+        let mut objects: Vec<(String, Domain)> = ["x", "y", "z", "w"]
+            .iter()
+            .map(|&n| (n.into(), Domain::int_range(0, 15).unwrap()))
+            .collect();
+        for n in ["f", "g", "h"] {
+            objects.push((n.into(), Domain::boolean()));
+        }
+        objects.push(("pc".into(), Domain::int_range(1, 7).unwrap()));
+        let u = Universe::new(objects).unwrap();
+        let var = |n: &str| Expr::var(u.obj(n).unwrap());
+        let phi = Phi::expr(
+            var("pc")
+                .eq(Expr::int(1))
+                .and(var("x").eq(Expr::int(3)))
+                .and(var("f")),
+        );
+        let sys = System::new(u.clone(), Vec::new());
+        assert_eq!(sys.state_count().unwrap(), 3_670_016);
+        assert_eq!(sat_and_candidates(&sys, &phi), (16_384, 16_384));
+
+        // ROADMAP item 8's thin φ on mod_adder(7): 2,097,152 states.
+        let sys = crate::examples::mod_adder_system(7).unwrap();
+        let u = sys.universe();
+        let (a1, a2) = (u.obj("a1").unwrap(), u.obj("a2").unwrap());
+        let phi = Phi::expr(
+            Expr::var(a1)
+                .eq(Expr::int(3))
+                .and(Expr::var(a2).lt(Expr::int(4))),
+        );
+        assert_eq!(sys.state_count().unwrap(), 2_097_152);
+        assert_eq!(sat_and_candidates(&sys, &phi), (512, 512));
+    }
+
+    #[test]
+    fn normal_form_filters_residuals() {
+        // `alpha ≤ beta` reads two objects: a residual table, filtered
+        // per candidate; `alpha < 3` narrows alpha's allowed values.
+        let sys = copy_sys(4);
+        let u = sys.universe();
+        let (a, b) = (u.obj("alpha").unwrap(), u.obj("beta").unwrap());
+        let phi =
+            Phi::expr(Expr::var(a).le(Expr::var(b))).and(Phi::expr(Expr::var(a).lt(Expr::int(3))));
+        assert_eq!(sat_and_candidates(&sys, &phi), (4 + 3 + 2, 12));
+        // A constant-false conjunct empties Sat(φ).
+        let phi = Phi::True.and(Phi::expr(Expr::int(1).lt(Expr::int(0))));
+        assert_eq!(sat_and_candidates(&sys, &phi), (0, 16));
+    }
+
+    #[test]
+    fn normal_form_declines_inexact_conjuncts() {
+        let sys = copy_sys(4);
+        let u = sys.universe();
+        let (a, b) = (u.obj("alpha").unwrap(), u.obj("beta").unwrap());
+        let guarded_div = Expr::var(a)
+            .ne(Expr::int(0))
+            .and(Expr::bin(BinOp::Div, Expr::int(8), Expr::var(a)).gt(Expr::var(b)));
+        let pred = Phi::pred("any", |_, _| Ok(true));
+        let set = Phi::from_set(Phi::True.sat(&sys).unwrap());
+        for phi in [
+            // Errors at alpha = 0, a point the guard hides from the scan.
+            Phi::expr(guarded_div),
+            Phi::expr(Expr::var(a).lt(Expr::int(2))).and(pred),
+            Phi::expr(Expr::var(a).lt(Expr::int(2))).and(set),
+        ] {
+            assert!(NormalForm::lower(&sys, &phi).is_none(), "{phi:?}");
+            assert_eq!(
+                sat_codes(&sys, &phi).unwrap(),
+                sat_codes_scan(&sys, &phi).unwrap()
+            );
+        }
+        // Wider than the table cap: 2^17 points on one conjunct.
+        let wide = Universe::new(vec![
+            ("p".into(), Domain::int_range(0, 511).unwrap()),
+            ("q".into(), Domain::int_range(0, 255).unwrap()),
+        ])
+        .unwrap();
+        let (p, q) = (wide.obj("p").unwrap(), wide.obj("q").unwrap());
+        let phi = Phi::expr(Expr::var(p).lt(Expr::var(q)));
+        assert!(NormalForm::lower(&System::new(wide, Vec::new()), &phi).is_none());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! - the [`CompiledSystem`] successor tables, built **once** at
 //!   construction (or not at all when the engine falls back to the
 //!   interpreter — see below);
-//! - interned `Sat(φ)` enumerations, keyed by structural φ equality
-//!   (never re-enumerated for a φ the Oracle has already seen);
+//! - interned `Sat(φ)` enumerations, hash-indexed and confirmed by
+//!   structural φ equality (never re-enumerated for a φ the Oracle has
+//!   already seen);
 //! - a pool of reusable search buffers (visited structure, BFS node
 //!   arena, sparse row memo), so a sweep of thousands of pair searches
 //!   allocates only on growth;
@@ -35,6 +36,9 @@
 //! [`CompileBudget`] and lazy sparse rows otherwise — or when the φ the
 //! Oracle was built for ([`Oracle::for_phi`]) has a thin satisfying set.
 
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -61,6 +65,51 @@ pub struct OracleStats {
     pub searches: u64,
     /// Number of distinct φ whose Sat(φ) enumeration is interned.
     pub interned_phis: u64,
+}
+
+/// One interned constraint and its Sat(φ) codes.
+type Interned = (Phi, Arc<Vec<u64>>);
+
+/// Interned Sat(φ) enumerations, indexed by a hash of φ
+/// ([`Phi::cache_hash_into`]). The hash only finds the bucket; every hit
+/// is confirmed with [`Phi::cache_eq`], so colliding constraints keep
+/// separate entries. The hasher is keyed per cache, so clients cannot
+/// craft constraints that all land in one bucket.
+#[derive(Default)]
+struct SatCache {
+    hasher: RandomState,
+    buckets: HashMap<u64, Vec<Interned>>,
+    /// Entries across all buckets: the Oracle's interned-φ count.
+    len: u64,
+}
+
+impl SatCache {
+    fn hash(&self, phi: &Phi) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        phi.cache_hash_into(&mut h);
+        h.finish()
+    }
+
+    fn get(&self, hash: u64, phi: &Phi) -> Option<Arc<Vec<u64>>> {
+        self.buckets
+            .get(&hash)?
+            .iter()
+            .find(|(p, _)| p.cache_eq(phi))
+            .map(|(_, codes)| Arc::clone(codes))
+    }
+
+    /// Interns `codes` for φ and returns the shared enumeration: on a
+    /// race, the entry already present wins, so every caller shares one
+    /// allocation.
+    fn insert(&mut self, hash: u64, phi: &Phi, codes: Arc<Vec<u64>>) -> Arc<Vec<u64>> {
+        let bucket = self.buckets.entry(hash).or_default();
+        if let Some((_, existing)) = bucket.iter().find(|(p, _)| p.cache_eq(phi)) {
+            return Arc::clone(existing);
+        }
+        bucket.push((phi.clone(), Arc::clone(&codes)));
+        self.len += 1;
+        codes
+    }
 }
 
 /// A compile-once query session over one [`System`]. See the module docs
@@ -91,9 +140,10 @@ pub struct Oracle<'s> {
     budget: CompileBudget,
     /// `None` ⇒ every search runs interpreted.
     compiled: Option<CompiledSystem<'s>>,
-    /// Interned Sat(φ) enumerations, keyed by [`Phi::cache_eq`]. A
-    /// linear scan: provers use a handful of distinct φ.
-    sat_cache: Mutex<Vec<(Phi, Arc<Vec<u64>>)>>,
+    /// Interned Sat(φ) enumerations. A served system interns every
+    /// distinct φ its clients send (over a thousand in one `sdbench`
+    /// cold_search run), so lookups go through a hash index.
+    sat_cache: Mutex<SatCache>,
     /// Reusable search buffers (one per concurrently running search).
     pool: Mutex<Vec<SearchBuffers>>,
     /// Shared sparse-row cache for op-kernel sweeps.
@@ -162,11 +212,11 @@ impl<'s> Oracle<'s> {
             });
         }
         let oracle = Oracle::build(sys, engine, budget, Some(codes.len() as u64), sink)?;
-        oracle
-            .sat_cache
-            .lock()
-            .expect("sat cache lock")
-            .push((phi.clone(), codes));
+        {
+            let mut cache = oracle.sat_cache.lock().expect("sat cache lock");
+            let hash = cache.hash(phi);
+            cache.insert(hash, phi, codes);
+        }
         Ok(oracle)
     }
 
@@ -211,7 +261,7 @@ impl<'s> Oracle<'s> {
             ns,
             budget: *budget,
             compiled,
-            sat_cache: Mutex::new(Vec::new()),
+            sat_cache: Mutex::new(SatCache::default()),
             pool: Mutex::new(Vec::new()),
             rows: Mutex::new(SparseMemo::default()),
             sink,
@@ -230,7 +280,7 @@ impl<'s> Oracle<'s> {
         OracleStats {
             compiles: self.compiles,
             searches: self.searches.load(Ordering::Relaxed),
-            interned_phis: self.sat_cache.lock().expect("sat cache lock").len() as u64,
+            interned_phis: self.sat_cache.lock().expect("sat cache lock").len,
         }
     }
 
@@ -242,11 +292,8 @@ impl<'s> Oracle<'s> {
     /// Whether `Sat(φ)` for this φ is already interned (i.e. a query on
     /// it would hit the partition cache).
     pub fn phi_interned(&self, phi: &Phi) -> bool {
-        self.sat_cache
-            .lock()
-            .expect("sat cache lock")
-            .iter()
-            .any(|(p, _)| p.cache_eq(phi))
+        let cache = self.sat_cache.lock().expect("sat cache lock");
+        cache.get(cache.hash(phi), phi).is_some()
     }
 
     /// The engine label searches through this Oracle report.
@@ -274,16 +321,18 @@ impl<'s> Oracle<'s> {
     /// [`Oracle::sat_codes`] reporting hit/miss events to an explicit
     /// sink (a per-query sink overriding the Oracle's own).
     pub(crate) fn sat_codes_at(&self, phi: &Phi, sink: Option<&dyn Sink>) -> Result<Arc<Vec<u64>>> {
-        {
+        let (hash, hit) = {
             let cache = self.sat_cache.lock().expect("sat cache lock");
-            if let Some((_, codes)) = cache.iter().find(|(p, _)| p.cache_eq(phi)) {
-                if let Some(s) = sink {
-                    s.record(&QueryEvent::PartitionHit {
-                        states: codes.len() as u64,
-                    });
-                }
-                return Ok(Arc::clone(codes));
+            let hash = cache.hash(phi);
+            (hash, cache.get(hash, phi))
+        };
+        if let Some(codes) = hit {
+            if let Some(s) = sink {
+                s.record(&QueryEvent::PartitionHit {
+                    states: codes.len() as u64,
+                });
             }
+            return Ok(codes);
         }
         // Enumerate outside the lock; on a race the first entry wins so
         // every caller shares one allocation.
@@ -293,12 +342,11 @@ impl<'s> Oracle<'s> {
                 states: codes.len() as u64,
             });
         }
-        let mut cache = self.sat_cache.lock().expect("sat cache lock");
-        if let Some((_, existing)) = cache.iter().find(|(p, _)| p.cache_eq(phi)) {
-            return Ok(Arc::clone(existing));
-        }
-        cache.push((phi.clone(), Arc::clone(&codes)));
-        Ok(codes)
+        Ok(self
+            .sat_cache
+            .lock()
+            .expect("sat cache lock")
+            .insert(hash, phi, codes))
     }
 
     /// `Sat(φ)` partitioned into `=A=` classes, from the interned
@@ -493,6 +541,35 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same φ must share one enumeration");
         let _ = oracle.sat_codes(&Phi::False).unwrap();
         assert_eq!(oracle.stats().interned_phis, 2);
+    }
+
+    #[test]
+    fn interning_confirms_identity_behind_the_hash() {
+        let sys = examples::flag_copy_system(3).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        // Same name, different closures: two entries, never a shared hit.
+        let even = Phi::pred("p", |sys, s| Ok(s.encode(sys.universe()) % 2 == 0));
+        let odd = Phi::pred("p", |sys, s| Ok(s.encode(sys.universe()) % 2 == 1));
+        let a = oracle.sat_codes(&even).unwrap();
+        assert!(!oracle.phi_interned(&odd));
+        let b = oracle.sat_codes(&odd).unwrap();
+        assert_ne!(a, b);
+        // A clone shares the closure, so it hits the same entry.
+        assert!(Arc::ptr_eq(&a, &oracle.sat_codes(&even.clone()).unwrap()));
+        assert_eq!(oracle.stats().interned_phis, 2);
+
+        // Forced hash collision: both entries live in one bucket and each
+        // lookup finds its own.
+        let mut cache = SatCache::default();
+        let (p, q) = (Phi::True, Phi::False);
+        let (cp, cq) = (Arc::new(vec![1]), Arc::new(vec![2]));
+        assert!(Arc::ptr_eq(&cache.insert(7, &p, Arc::clone(&cp)), &cp));
+        assert!(Arc::ptr_eq(&cache.insert(7, &q, Arc::clone(&cq)), &cq));
+        // A racing second insert keeps the first entry.
+        assert!(Arc::ptr_eq(&cache.insert(7, &p, Arc::new(vec![3])), &cp));
+        assert_eq!(cache.len, 2);
+        assert!(Arc::ptr_eq(&cache.get(7, &q).unwrap(), &cq));
+        assert!(cache.get(8, &q).is_none());
     }
 
     #[test]

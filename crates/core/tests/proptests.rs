@@ -209,3 +209,157 @@ proptest! {
         prop_assert_eq!(composed, stepped);
     }
 }
+
+/// Random small systems and random φ for the Sat(φ) normal-form property.
+mod sat_gen {
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use sd_core::bitset::BitSet;
+    use sd_core::{BinOp, Domain, Error, Expr, ObjId, Phi, System, Universe, Value};
+
+    /// Two to four objects: small int ranges (some negative), booleans
+    /// and a record domain, so comparisons can be ill-typed.
+    pub fn system(rng: &mut StdRng) -> System {
+        let n = rng.gen_range(2..5usize);
+        let objects = (0..n)
+            .map(|i| {
+                let dom = match rng.gen_range(0..6u32) {
+                    0 | 1 => Domain::boolean(),
+                    2 => Domain::new(vec![
+                        Value::Record(vec![Value::Int(0)]),
+                        Value::Record(vec![Value::Int(1)]),
+                    ])
+                    .unwrap(),
+                    _ => {
+                        let lo = rng.gen_range(-2..2i64);
+                        Domain::int_range(lo, lo + rng.gen_range(0..5i64)).unwrap()
+                    }
+                };
+                (format!("o{i}"), dom)
+            })
+            .collect();
+        System::new(Universe::new(objects).unwrap(), Vec::new())
+    }
+
+    fn var(rng: &mut StdRng, sys: &System) -> Expr {
+        Expr::var(ObjId::from_index(
+            rng.gen_range(0..sys.universe().num_objects()),
+        ))
+    }
+
+    fn int_expr(rng: &mut StdRng, sys: &System, depth: u32) -> Expr {
+        if depth == 0 || rng.gen_bool(0.4) {
+            return if rng.gen_bool(0.6) {
+                var(rng, sys)
+            } else {
+                Expr::int(rng.gen_range(-1..4i64))
+            };
+        }
+        let op =
+            [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod][rng.gen_range(0..5usize)];
+        Expr::bin(
+            op,
+            int_expr(rng, sys, depth - 1),
+            int_expr(rng, sys, depth - 1),
+        )
+    }
+
+    pub fn bool_expr(rng: &mut StdRng, sys: &System, depth: u32) -> Expr {
+        let arms = if depth == 0 { 3 } else { 8 };
+        match rng.gen_range(0..arms) {
+            0 => Expr::bool(rng.gen_bool(0.5)),
+            // Any object: ill-typed when it is not boolean.
+            1 => var(rng, sys),
+            2 => {
+                let op = [
+                    BinOp::Eq,
+                    BinOp::Ne,
+                    BinOp::Lt,
+                    BinOp::Le,
+                    BinOp::Gt,
+                    BinOp::Ge,
+                ][rng.gen_range(0..6usize)];
+                Expr::bin(op, var(rng, sys), Expr::int(rng.gen_range(-1..4i64)))
+            }
+            3 => {
+                // A multi-object residual such as `x < y`, or an
+                // arithmetic comparison that may divide by zero.
+                let op = [BinOp::Eq, BinOp::Lt, BinOp::Ge][rng.gen_range(0..3usize)];
+                Expr::bin(
+                    op,
+                    int_expr(rng, sys, depth - 1),
+                    int_expr(rng, sys, depth - 1),
+                )
+            }
+            4 => {
+                // Division by an object, hidden behind a `≠ 0` guard.
+                let x = var(rng, sys);
+                x.clone()
+                    .ne(Expr::int(0))
+                    .and(Expr::bin(BinOp::Div, Expr::int(7), x).lt(var(rng, sys)))
+            }
+            5 => bool_expr(rng, sys, depth - 1).not(),
+            6 => bool_expr(rng, sys, depth - 1).or(bool_expr(rng, sys, depth - 1)),
+            _ => bool_expr(rng, sys, depth - 1).and(bool_expr(rng, sys, depth - 1)),
+        }
+    }
+
+    pub fn phi(rng: &mut StdRng, sys: &System, depth: u32) -> Phi {
+        let arms = if depth == 0 { 4 } else { 10 };
+        match rng.gen_range(0..arms) {
+            0 => Phi::True,
+            1 => Phi::False,
+            2 | 3 => Phi::expr(bool_expr(rng, sys, 2)),
+            4 => {
+                let n = sys.state_count().unwrap();
+                let mut s = BitSet::new(n);
+                for code in 0..n {
+                    if rng.gen_bool(0.5) {
+                        s.insert(code);
+                    }
+                }
+                Phi::from_set(s)
+            }
+            5 => {
+                // A native predicate that errors on some states.
+                let m = rng.gen_range(2..5u64);
+                Phi::pred(format!("mod {m}"), move |sys, sigma| {
+                    match sigma.encode(sys.universe()) % m {
+                        0 => Err(Error::Invalid("poisoned state".into())),
+                        r => Ok(r == 1),
+                    }
+                })
+            }
+            6 => phi(rng, sys, depth - 1).not(),
+            7 => phi(rng, sys, depth - 1).or(phi(rng, sys, depth - 1)),
+            _ => phi(rng, sys, depth - 1).and(phi(rng, sys, depth - 1)),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+    #[test]
+    fn sat_codes_match_the_scan(seed in 0u64..u64::MAX) {
+        use rand::SeedableRng;
+        use sd_core::depend::{sat_codes, sat_codes_scan};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut sys = sat_gen::system(&mut rng);
+        let phi = sat_gen::phi(&mut rng, &sys, 3);
+        // Sometimes the system is over its enumeration limit.
+        if seed % 16 == 0 {
+            let n = sys.universe().state_count();
+            sys = sys.with_enum_limit(n - 1);
+        }
+        let fast = sat_codes(&sys, &phi);
+        let scan = sat_codes_scan(&sys, &phi);
+        match (&fast, &scan) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+            _ => prop_assert!(false, "{phi:?}: {fast:?} vs {scan:?}"),
+        }
+        // `Phi::sat` is built from the same sweep.
+        let set = phi.sat(&sys).map(|s| s.iter().collect::<Vec<u64>>());
+        prop_assert_eq!(format!("{set:?}"), format!("{scan:?}"));
+    }
+}
