@@ -1164,34 +1164,7 @@ fn sat_enum() -> Result<(), Box<dyn std::error::Error>> {
             vec!["a1 == 3 && a2 < 4", "a2 == 100 && beta < 64"],
         ),
     ];
-    // Median and interquartile range of 5 runs, in ms; the quartiles
-    // follow Python's `statistics.quantiles(n=4)`.
-    let time5 =
-        |f: &dyn Fn() -> sd_core::Result<Vec<u64>>| -> sd_core::Result<(f64, f64, Vec<u64>)> {
-            let mut ms = Vec::new();
-            let mut codes = Vec::new();
-            for _ in 0..5 {
-                let t = Instant::now();
-                codes = f()?;
-                ms.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            ms.sort_by(f64::total_cmp);
-            Ok((ms[2], (ms[3] + ms[4]) / 2.0 - (ms[0] + ms[1]) / 2.0, codes))
-        };
-    let git_rev = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=7"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-
+    let meta = RunMeta::current();
     let mut t = Table::new(&[
         "system",
         "φ",
@@ -1206,8 +1179,8 @@ fn sat_enum() -> Result<(), Box<dyn std::error::Error>> {
         let states = sys.state_count()?;
         for src in phis {
             let phi = sd_lang::lower_phi(sys.universe(), src)?;
-            let (scan_ms, scan_iqr, scan) = time5(&|| sat_codes_scan(sys, &phi))?;
-            let (nf_ms, nf_iqr, codes) = time5(&|| sat_codes(sys, &phi))?;
+            let (scan_ms, scan_iqr, scan) = time5(|| sat_codes_scan(sys, &phi))?;
+            let (nf_ms, nf_iqr, codes) = time5(|| sat_codes(sys, &phi))?;
             assert_eq!(codes, scan, "normal form differs from the scan on {src}");
             t.row(&[
                 name.to_string(),
@@ -1222,8 +1195,7 @@ fn sat_enum() -> Result<(), Box<dyn std::error::Error>> {
                 concat!(
                     "    {{\"system\": {:?}, \"phi\": {:?}, \"states\": {}, \"sat\": {}, ",
                     "\"scan_ms\": {:.3}, \"scan_iqr_ms\": {:.3}, ",
-                    "\"normal_form_ms\": {:.4}, \"normal_form_iqr_ms\": {:.4}, ",
-                    "\"runs\": 5, \"git_rev\": {:?}, \"cores\": {}, \"profile\": {:?}}}"
+                    "\"normal_form_ms\": {:.4}, \"normal_form_iqr_ms\": {:.4}, {}}}"
                 ),
                 name,
                 src,
@@ -1233,14 +1205,12 @@ fn sat_enum() -> Result<(), Box<dyn std::error::Error>> {
                 scan_iqr,
                 nf_ms,
                 nf_iqr,
-                git_rev,
-                cores,
-                profile
+                meta.json_fields()
             ));
         }
     }
     print!("{}", t.render());
-    println!("(median ± interquartile range of 5 runs; {cores} cores, {profile})");
+    meta.print();
     let json = format!(
         "{{\n  \"benchmark\": \"sat_enum\",\n  \"unit\": \"wall_ms\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
@@ -1250,23 +1220,81 @@ fn sat_enum() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Median and interquartile range, in ms, of 5 timed runs of `f`, plus
+/// the last run's output. The quartiles follow Python's
+/// `statistics.quantiles(n=4)`.
+fn time5<T, E>(mut f: impl FnMut() -> Result<T, E>) -> Result<(f64, f64, T), E> {
+    let mut ms = Vec::new();
+    let mut out = None;
+    for _ in 0..5 {
+        let t = Instant::now();
+        out = Some(f()?);
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    ms.sort_by(f64::total_cmp);
+    let iqr = (ms[3] + ms[4]) / 2.0 - (ms[0] + ms[1]) / 2.0;
+    Ok((ms[2], iqr, out.expect("five runs")))
+}
+
+/// Where a `BENCH_*.json` row was measured: the checkout's git revision,
+/// the core count and the build profile.
+struct RunMeta {
+    git_rev: String,
+    cores: usize,
+    profile: &'static str,
+}
+
+impl RunMeta {
+    fn current() -> RunMeta {
+        let git_rev = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=7"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        RunMeta {
+            git_rev,
+            cores,
+            profile,
+        }
+    }
+
+    /// The JSON fields every timed row carries.
+    fn json_fields(&self) -> String {
+        format!(
+            "\"runs\": 5, \"git_rev\": {:?}, \"cores\": {}, \"profile\": {:?}",
+            self.git_rev, self.cores, self.profile
+        )
+    }
+
+    /// The footnote under a timed table.
+    fn print(&self) {
+        println!(
+            "(median ± interquartile range of 5 runs; {} cores, {})",
+            self.cores, self.profile
+        );
+    }
+}
+
 /// P5: prover workloads — the pre-Oracle sequential sweeps (one fresh
 /// compile-and-search per cylinder class / cover piece) vs the shared
-/// compiled Oracle with parallel kernels. Prints the comparison table and
-/// emits `BENCH_provers.json` for the committed record.
+/// compiled Oracle with parallel kernels. Each timing is the median and
+/// interquartile range of 5 runs. Prints the comparison table and emits
+/// `BENCH_provers.json` for the committed record.
 fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
     use sd_core::cover::PieceStrategy;
     use sd_core::{solve, CompileBudget, Engine, StateSet};
 
     println!("\n== P5: prover engines — sequential per-call vs shared Oracle ==");
     let budget = CompileBudget::default();
-    let median = |mut samples: Vec<f64>| -> f64 {
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
-    // Adaptive repetition: fast configurations get 5 samples, slow ones
-    // are not run to death.
-    let enough = |samples: &[f64]| samples.len() >= 5 || (samples.len() >= 2 && samples[0] > 500.0);
+    let meta = RunMeta::current();
 
     let mut t = Table::new(&[
         "workload",
@@ -1310,9 +1338,7 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
         // Pre-Oracle sequential path, exactly as the seed implemented it:
         // enumerate the `=A=` classes as decoded states, then one full
         // `depends` call — fresh compile, fresh search state — per class.
-        let mut samples = Vec::new();
-        let seq_solution = loop {
-            let t0 = Instant::now();
+        let (seq_ms, seq_iqr, seq_solution) = time5(|| -> sd_core::Result<StateSet> {
             let mut sol = StateSet::new(ns);
             for class in sd_core::depend::classes(&sys, &Phi::True, &sources)? {
                 let mut cyl = StateSet::new(ns);
@@ -1331,48 +1357,39 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
                     sol.union_with(&cyl);
                 }
             }
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break sol;
-            }
-        };
-        let seq_ms = median(samples);
-
-        let mut samples = Vec::new();
-        let (oracle_solution, compiles) = loop {
-            let t0 = Instant::now();
-            let (phi_max, stats) =
-                solve::unique_maximal_independent_solution_stats(&sys, &sources, sink)?;
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break (phi_max, stats.compiles);
-            }
-        };
-        let oracle_ms = median(samples);
+            Ok(sol)
+        })?;
+        let (oracle_ms, oracle_iqr, (oracle_solution, stats)) =
+            time5(|| solve::unique_maximal_independent_solution_stats(&sys, &sources, sink))?;
+        let compiles = stats.compiles;
         let agree = oracle_solution.sat(&sys)? == seq_solution && compiles == 1;
 
         t.row(&[
             name.clone(),
             ns.to_string(),
             format!("{n_classes} classes"),
-            format!("{seq_ms:.3}"),
-            format!("{oracle_ms:.3}"),
+            format!("{seq_ms:.3} ± {seq_iqr:.3}"),
+            format!("{oracle_ms:.3} ± {oracle_iqr:.3}"),
             format!("{:.2}x", seq_ms / oracle_ms),
             yes(agree),
         ]);
         json_rows.push(format!(
             concat!(
                 "    {{\"workload\": {:?}, \"states\": {}, \"classes\": {}, ",
-                "\"sequential_ms\": {:.3}, \"oracle_ms\": {:.3}, ",
-                "\"speedup\": {:.2}, \"agree\": {}}}"
+                "\"sequential_ms\": {:.3}, \"sequential_iqr_ms\": {:.3}, ",
+                "\"oracle_ms\": {:.3}, \"oracle_iqr_ms\": {:.3}, ",
+                "\"speedup\": {:.2}, \"agree\": {}, {}}}"
             ),
             name,
             ns,
             n_classes,
             seq_ms,
+            seq_iqr,
             oracle_ms,
+            oracle_iqr,
             seq_ms / oracle_ms,
-            agree
+            agree,
+            meta.json_fields()
         ));
     }
 
@@ -1413,9 +1430,7 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
         // Pre-Oracle sequential path, as the seed implemented Thm 4-5:
         // per-piece independence checks, the coverage check, then one
         // fresh exact search per piece.
-        let mut samples = Vec::new();
-        let seq_proved = loop {
-            let t0 = Instant::now();
+        let (seq_ms, seq_iqr, seq_proved) = time5(|| -> sd_core::Result<bool> {
             let mut proved = true;
             'seq: {
                 for piece in &cover {
@@ -1447,58 +1462,52 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
                     }
                 }
             }
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break proved;
-            }
-        };
-        let seq_ms = median(samples);
-
-        let mut samples = Vec::new();
-        let oracle_proved = loop {
-            let t0 = Instant::now();
-            let out = sd_core::cover::prove_separation_of_variety(
+            Ok(proved)
+        })?;
+        let (oracle_ms, oracle_iqr, oracle_proved) = time5(|| {
+            sd_core::cover::prove_separation_of_variety(
                 &sys,
                 &Phi::True,
                 &cover,
                 &a,
                 beta,
                 PieceStrategy::ExactBfs,
-            )?;
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break out.is_proved();
-            }
-        };
-        let oracle_ms = median(samples);
+            )
+            .map(|out| out.is_proved())
+        })?;
         let agree = seq_proved == oracle_proved;
 
         t.row(&[
             name.clone(),
             ns.to_string(),
             format!("{} pieces", cover.len()),
-            format!("{seq_ms:.3}"),
-            format!("{oracle_ms:.3}"),
+            format!("{seq_ms:.3} ± {seq_iqr:.3}"),
+            format!("{oracle_ms:.3} ± {oracle_iqr:.3}"),
             format!("{:.2}x", seq_ms / oracle_ms),
             yes(agree),
         ]);
         json_rows.push(format!(
             concat!(
                 "    {{\"workload\": {:?}, \"states\": {}, \"pieces\": {}, ",
-                "\"sequential_ms\": {:.3}, \"oracle_ms\": {:.3}, ",
-                "\"speedup\": {:.2}, \"agree\": {}}}"
+                "\"sequential_ms\": {:.3}, \"sequential_iqr_ms\": {:.3}, ",
+                "\"oracle_ms\": {:.3}, \"oracle_iqr_ms\": {:.3}, ",
+                "\"speedup\": {:.2}, \"agree\": {}, {}}}"
             ),
             name,
             ns,
             cover.len(),
             seq_ms,
+            seq_iqr,
             oracle_ms,
+            oracle_iqr,
             seq_ms / oracle_ms,
-            agree
+            agree,
+            meta.json_fields()
         ));
     }
 
     print!("{}", t.render());
+    meta.print();
     println!("expected: oracle ≥5x on the maximal-solution workloads with ≥64 classes");
 
     let json = format!(

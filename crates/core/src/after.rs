@@ -52,16 +52,14 @@ pub fn reachable_images_bounded(sys: &System, phi: &Phi, max_sets: usize) -> Res
 }
 
 /// [`reachable_images_bounded`] against a prepared [`Oracle`]: each BFS
-/// step maps the current image through compiled successor rows instead of
-/// interpreting every operation per state (AST fallback when the Oracle
-/// runs interpreted).
+/// step maps the current image through the Oracle's successor view —
+/// compiled rows, or the interpreter when the Oracle runs interpreted.
 pub fn reachable_images_bounded_with(
     oracle: &Oracle,
     phi: &Phi,
     max_sets: usize,
 ) -> Result<Vec<StateSet>> {
-    let sys = oracle.system();
-    let start = phi.sat(sys)?;
+    let start = oracle.sat_set(phi)?;
     let mut seen: HashSet<StateSet> = HashSet::new();
     let mut queue: VecDeque<StateSet> = VecDeque::new();
     let mut out = Vec::new();
@@ -75,27 +73,16 @@ pub fn reachable_images_bounded_with(
             )));
         }
         let codes: Vec<u64> = cur.iter().collect();
-        let images: Vec<StateSet> = match oracle.with_rows(&codes, |cs, memo| {
-            (0..cs.num_ops())
-                .map(|op| {
-                    let mut img = StateSet::new(cur.capacity());
-                    for &code in &codes {
-                        let next = cs.succ(memo, code, op);
-                        if next == crate::compiled::POISON {
-                            return Err(cs.poison_error(code, op));
-                        }
-                        img.insert(next);
-                    }
-                    Ok(img)
-                })
-                .collect::<Result<Vec<_>>>()
-        }) {
-            Some(computed) => computed?,
-            None => sys
-                .op_ids()
-                .map(|op| image_op(sys, &cur, op))
-                .collect::<Result<_>>()?,
-        };
+        let rows = oracle.successors(&codes);
+        let images: Vec<StateSet> = (0..oracle.system().num_ops())
+            .map(|op| {
+                let mut img = StateSet::new(cur.capacity());
+                for &code in &codes {
+                    img.insert(rows.step(code, op)?);
+                }
+                Ok(img)
+            })
+            .collect::<Result<_>>()?;
         for next in images {
             if seen.insert(next.clone()) {
                 queue.push_back(next);

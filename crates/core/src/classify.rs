@@ -24,8 +24,8 @@
 //! `Σ_{α∈A} stride_α · digit_α(code)`, which is injective on projection
 //! classes, so grouping needs only [`crate::fastmap`] integer containers —
 //! no `State` is decoded until a witness is returned. The invariance check
-//! additionally reads successor rows from a compiled [`Oracle`] when the
-//! state space compiles, falling back to AST interpretation otherwise.
+//! additionally reads successors through an [`Oracle`]'s view: compiled
+//! rows when the state space compiles, the interpreter otherwise.
 
 use crate::constraint::Phi;
 use crate::error::Result;
@@ -163,37 +163,17 @@ pub(crate) fn is_invariant_with(oracle: &Oracle, phi: &Phi) -> Result<bool> {
     Ok(invariance_witness_with(oracle, phi)?.is_none())
 }
 
-/// [`invariance_witness`] against a prepared [`Oracle`].
+/// [`invariance_witness`] against a prepared [`Oracle`], over its
+/// interned Sat(φ) and its successor view.
 pub(crate) fn invariance_witness_with(oracle: &Oracle, phi: &Phi) -> Result<Option<(State, OpId)>> {
     let sys = oracle.system();
-    let u = sys.universe();
-    let sat = phi.sat(sys)?;
+    let sat = oracle.sat_set(phi)?;
     let codes: Vec<u64> = sat.iter().collect();
-    if let Some(found) = oracle.with_rows(&codes, |cs, memo| {
-        for &code in &codes {
-            for op in 0..cs.num_ops() {
-                let next = cs.succ(memo, code, op);
-                if next == crate::compiled::POISON {
-                    return Err(cs.poison_error(code, op));
-                }
-                if !sat.contains(next) {
-                    return Ok(Some((code, op)));
-                }
-            }
-        }
-        Ok(None)
-    }) {
-        return Ok(found?.map(|(code, op)| (State::decode(u, code), OpId(op as u32))));
-    }
-    // Interpreted fallback: the state space exceeds the compiled range.
-    for sigma in sys.states()? {
-        if !phi.holds(sys, &sigma)? {
-            continue;
-        }
+    let rows = oracle.successors(&codes);
+    for &code in &codes {
         for op in sys.op_ids() {
-            let next = sys.apply(op, &sigma)?;
-            if !phi.holds(sys, &next)? {
-                return Ok(Some((sigma, op)));
+            if !sat.contains(rows.step(code, op.index())?) {
+                return Ok(Some((State::decode(sys.universe(), code), op)));
             }
         }
     }

@@ -15,15 +15,22 @@
 //! - **Dense** (`|Σ| · |Δ|` within budget): every successor is
 //!   precomputed up front, in parallel over state-code ranges.
 //! - **Sparse**: successor rows are interpreted on first touch and
-//!   memoised in a [`SparseMemo`], so each *reached* state is
-//!   interpreted exactly once for all operations — the BFS in
-//!   `reach` typically touches a tiny fraction of `Σ²` pairs but a
-//!   larger fraction of `Σ`, and this caps interpretation cost at
-//!   `O(|reached states| · |Δ|)` instead of `O(|visited pairs| · |Δ|)`.
+//!   memoised in the system's one row store, so each *reached* state is
+//!   interpreted exactly once for all operations, however many searches
+//!   and prover sweeps share the system — the BFS in `reach` typically
+//!   touches a tiny fraction of `Σ²` pairs but a larger fraction of `Σ`,
+//!   and this caps interpretation cost at `O(|reached states| · |Δ|)`
+//!   instead of `O(|visited pairs| · |Δ|)`.
+//!
+//! Readers see either layout through a `Rows` view, which also has an
+//! interpreted form for systems that do not compile.
 //!
 //! Operations that *error* on a state (possible when
-//! `System::validate` would fail) are stored as a poison sentinel; the
-//! search re-interprets on access to surface the precise [`Error`].
+//! `System::validate` would fail) are stored as a poison sentinel;
+//! `Rows::step` re-interprets on access to surface the precise
+//! [`Error`].
+
+use std::sync::{RwLock, RwLockReadGuard};
 
 use crate::error::{Error, Result};
 use crate::fastmap::U64Map;
@@ -35,7 +42,7 @@ use crate::universe::ObjId;
 
 /// Dense-table sentinel: "this operation errors on this state".
 const POISON32: u32 = u32::MAX;
-/// 64-bit poison sentinel used by sparse rows and [`CompiledSystem::succ`].
+/// 64-bit poison sentinel used by sparse rows and [`Row::succ`].
 pub(crate) const POISON: u64 = u64::MAX;
 
 /// Resource budget steering the automatic engine choice.
@@ -83,12 +90,23 @@ pub enum TableKind {
     Sparse,
 }
 
+impl TableKind {
+    /// The engine label searches on this layout report
+    /// (`QueryReport::engine`, the `CompileFinish` event).
+    pub fn engine_name(self) -> &'static str {
+        match self {
+            TableKind::Dense => "compiled-dense",
+            TableKind::Sparse => "compiled-sparse",
+        }
+    }
+}
+
 /// A system compiled to integer successor tables (see module docs).
 ///
-/// Immutable after construction, so one compiled system can be shared
-/// by reference across scoped worker threads — this is what lets
+/// Shared by reference across scoped worker threads — this is what lets
 /// [`crate::query::Query::matrix`] compile once for all worth-matrix
-/// rows.
+/// rows. A dense system is immutable after construction; a sparse one
+/// grows its row store as searches and prover sweeps touch new states.
 pub struct CompiledSystem<'s> {
     sys: &'s System,
     ns: u64,
@@ -97,32 +115,29 @@ pub struct CompiledSystem<'s> {
     strides: Vec<u64>,
     /// Per-object domain size, narrowed likewise.
     dom_sizes: Vec<u64>,
-    kind: TableKind,
-    budget: CompileBudget,
-    /// State-major dense table: `dense[code · num_ops + op]`. Empty when
-    /// `kind` is [`TableKind::Sparse`].
-    dense: Vec<u32>,
+    table: Table,
 }
 
-/// Memoised successor rows for a sparse compiled search. Owned by one
-/// search (it is the only mutable part of the machinery), while the
-/// [`CompiledSystem`] itself stays shared.
+/// The successor table behind a [`CompiledSystem`].
+enum Table {
+    /// State-major dense table: `next[code · num_ops + op]`.
+    Dense(Vec<u32>),
+    /// The system's one sparse row store, shared by every search and
+    /// prover sweep over it.
+    Sparse(RwLock<SparseMemo>),
+}
+
+/// Memoised successor rows of a sparse compiled system: an index plus
+/// an append-only row arena.
 #[derive(Default)]
-pub struct SparseMemo {
+pub(crate) struct SparseMemo {
     /// State code → offset of its row in `rows` (row length = `num_ops`).
     index: U64Map,
     rows: Vec<u64>,
 }
 
-impl SparseMemo {
-    /// Number of states whose successor rows have been computed.
-    pub fn states_expanded(&self) -> usize {
-        self.index.len()
-    }
-}
-
 /// One state's successor row, borrowed from whichever table layout the
-/// system compiled to. Produced by [`CompiledSystem::row`].
+/// system compiled to. Produced by [`Rows::row`].
 #[derive(Clone, Copy)]
 pub(crate) enum Row<'a> {
     /// A dense-table row; [`POISON32`] marks erroring operations.
@@ -147,6 +162,77 @@ impl Row<'_> {
             Row::Sparse(r) => r[op],
         }
     }
+}
+
+/// A read view of one system's successor function: the dense table, a
+/// read guard on the sparse row store, or the interpreter when the
+/// system did not compile. Take one view per BFS level or per prover
+/// sweep, after the rows it will read are materialised
+/// ([`CompiledSystem::ensure_rows`], or
+/// [`crate::oracle::Oracle::successors`], which does both).
+///
+/// **Never hold a view across a call that materialises rows.** The
+/// sparse view holds the row store's read lock, and materialising takes
+/// its write lock: the same thread would wait on itself. And because
+/// `std`'s `RwLock` may block new readers while a writer is queued, a
+/// thread that takes a second view while holding one can deadlock
+/// against another thread's pending write. Share one view by reference
+/// across scoped workers instead of taking one per worker.
+pub(crate) enum Rows<'a> {
+    /// A compiled system's dense table.
+    Dense(&'a CompiledSystem<'a>, &'a [u32]),
+    /// A sparse compiled system's row store, read-locked.
+    Sparse(&'a CompiledSystem<'a>, RwLockReadGuard<'a, SparseMemo>),
+    /// No tables: every step interprets the operation.
+    Interpreted(&'a System),
+}
+
+impl Rows<'_> {
+    /// The full successor row of `code` — one borrow instead of a table
+    /// lookup per operation, for the search's hot loop. Sparse rows must
+    /// have been materialised before the view was taken; interpreted
+    /// views have no rows.
+    #[inline]
+    pub(crate) fn row(&self, code: u64) -> Row<'_> {
+        match self {
+            Rows::Dense(cs, table) => {
+                Row::Dense(&table[code as usize * cs.num_ops..][..cs.num_ops])
+            }
+            Rows::Sparse(cs, memo) => {
+                let off = memo
+                    .index
+                    .get(code)
+                    .expect("sparse row materialised before use");
+                Row::Sparse(&memo.rows[off..off + cs.num_ops])
+            }
+            Rows::Interpreted(_) => unreachable!("interpreted views have no successor rows"),
+        }
+    }
+
+    /// Successor of `code` under operation `op`, or the error the
+    /// interpreter reports for it (a poisoned entry is re-interpreted to
+    /// recover that error).
+    pub(crate) fn step(&self, code: u64, op: usize) -> Result<u64> {
+        let cs = match self {
+            Rows::Interpreted(sys) => return interpret(sys, code, op),
+            Rows::Dense(cs, _) | Rows::Sparse(cs, _) => cs,
+        };
+        match self.row(code).succ(op) {
+            POISON => Err(match interpret(cs.sys, code, op) {
+                Err(e) => e,
+                Ok(_) => Error::Invalid("poison entry without interpreter error".into()),
+            }),
+            next => Ok(next),
+        }
+    }
+}
+
+/// Interprets operation `op` on the state encoded by `code`.
+fn interpret(sys: &System, code: u64, op: usize) -> Result<u64> {
+    let u = sys.universe();
+    Ok(sys
+        .apply(OpId(op as u32), &State::decode(u, code))?
+        .encode(u))
 }
 
 impl<'s> CompiledSystem<'s> {
@@ -190,10 +276,9 @@ impl<'s> CompiledSystem<'s> {
             strides.push(u.stride(obj) as u64);
             dom_sizes.push(u.domain(obj).size() as u64);
         }
-        let dense = if kind == TableKind::Dense {
-            build_dense(sys, ns, num_ops)
-        } else {
-            Vec::new()
+        let table = match kind {
+            TableKind::Dense => Table::Dense(build_dense(sys, ns, num_ops)),
+            TableKind::Sparse => Table::Sparse(RwLock::default()),
         };
         Ok(CompiledSystem {
             sys,
@@ -201,9 +286,7 @@ impl<'s> CompiledSystem<'s> {
             num_ops,
             strides,
             dom_sizes,
-            kind,
-            budget: *budget,
-            dense,
+            table,
         })
     }
 
@@ -229,12 +312,10 @@ impl<'s> CompiledSystem<'s> {
 
     /// Which table layout was chosen.
     pub fn kind(&self) -> TableKind {
-        self.kind
-    }
-
-    /// The budget the system was compiled under.
-    pub fn budget(&self) -> &CompileBudget {
-        &self.budget
+        match self.table {
+            Table::Dense(_) => TableKind::Dense,
+            Table::Sparse(_) => TableKind::Sparse,
+        }
     }
 
     /// Extracts the domain index of `obj` from an encoded state without
@@ -245,65 +326,61 @@ impl<'s> CompiledSystem<'s> {
         ((code / self.strides[i]) % self.dom_sizes[i]) as u32
     }
 
-    /// Successor of `code` under operation `op`, or [`POISON`] when the
-    /// operation errors on that state. Sparse lookups require the row to
-    /// have been materialised via [`CompiledSystem::ensure_rows`].
-    #[inline]
-    pub(crate) fn succ(&self, memo: &SparseMemo, code: u64, op: usize) -> u64 {
-        match self.kind {
-            TableKind::Dense => {
-                let v = self.dense[code as usize * self.num_ops + op];
-                if v == POISON32 {
-                    POISON
-                } else {
-                    u64::from(v)
-                }
-            }
-            TableKind::Sparse => {
-                let row = memo
-                    .index
-                    .get(code)
-                    .expect("sparse row materialised before use");
-                memo.rows[row + op]
-            }
-        }
-    }
-
-    /// The full successor row of `code` — one borrow instead of a table
-    /// lookup per operation, for the search's hot loop. Sparse rows must
-    /// have been materialised via [`CompiledSystem::ensure_rows`].
-    #[inline]
-    pub(crate) fn row<'m>(&'m self, memo: &'m SparseMemo, code: u64) -> Row<'m> {
-        match self.kind {
-            TableKind::Dense => {
-                Row::Dense(&self.dense[code as usize * self.num_ops..][..self.num_ops])
-            }
-            TableKind::Sparse => {
-                let off = memo
-                    .index
-                    .get(code)
-                    .expect("sparse row materialised before use");
-                Row::Sparse(&memo.rows[off..off + self.num_ops])
-            }
+    /// A read view of the successor tables (see [`Rows`] for the one
+    /// rule its holder must keep).
+    pub(crate) fn rows(&self) -> Rows<'_> {
+        match &self.table {
+            Table::Dense(table) => Rows::Dense(self, table),
+            Table::Sparse(store) => Rows::Sparse(self, store.read().expect("row store lock")),
         }
     }
 
     /// Materialises sparse successor rows for every code in `codes` that
-    /// is not yet memoised, interpreting rows in parallel when there are
-    /// enough of them. A no-op for dense tables. Row reuse/materialise
-    /// counts are accumulated on `trace` (and emitted as a
-    /// [`QueryEvent::MemoRows`] event when a sink is attached).
-    pub(crate) fn ensure_rows(&self, memo: &mut SparseMemo, codes: &[u64], trace: &mut Trace<'_>) {
-        if self.kind == TableKind::Dense || self.num_ops == 0 {
+    /// is not yet in the row store. Missing codes are found under the
+    /// read lock and interpreted outside any lock, in parallel when there
+    /// are enough of them; the write lock then inserts each row unless a
+    /// concurrent caller inserted it first. A no-op for dense tables.
+    /// Rows this call inserted count as materialised on `trace`, all
+    /// other requested codes as reused (also emitted as a
+    /// [`QueryEvent::MemoRows`] event when a sink is attached), so each
+    /// row is counted as materialised exactly once per system.
+    pub(crate) fn ensure_rows(&self, codes: &[u64], trace: &mut Trace<'_>) {
+        let Table::Sparse(store) = &self.table else {
             return;
+        };
+        let missing: Vec<u64> = {
+            let memo = store.read().expect("row store lock");
+            codes
+                .iter()
+                .copied()
+                .filter(|&c| memo.index.get(c).is_none())
+                .collect()
+        };
+        let mut materialized = 0u64;
+        if !missing.is_empty() {
+            // Row interpretation is ~two orders of magnitude more
+            // expensive than a table probe, so parallelise even smallish
+            // batches.
+            let computed: Vec<Vec<u64>> = par_map_chunks(&missing, 32, |chunk| {
+                let mut rows = Vec::with_capacity(chunk.len() * self.num_ops);
+                for &code in chunk {
+                    self.interpret_row(code, &mut rows);
+                }
+                rows
+            });
+            let rows = computed.concat();
+            let n = self.num_ops;
+            let mut memo = store.write().expect("row store lock");
+            for (i, &code) in missing.iter().enumerate() {
+                if memo.index.get(code).is_none() {
+                    let offset = memo.rows.len();
+                    memo.index.insert(code, offset);
+                    memo.rows.extend_from_slice(&rows[i * n..][..n]);
+                    materialized += 1;
+                }
+            }
         }
-        let missing: Vec<u64> = codes
-            .iter()
-            .copied()
-            .filter(|&c| memo.index.get(c).is_none())
-            .collect();
-        let reused = (codes.len() - missing.len()) as u64;
-        let materialized = missing.len() as u64;
+        let reused = codes.len() as u64 - materialized;
         trace.report.rows_reused += reused;
         trace.report.rows_materialized += materialized;
         if !codes.is_empty() {
@@ -311,28 +388,6 @@ impl<'s> CompiledSystem<'s> {
                 reused,
                 materialized,
             });
-        }
-        if missing.is_empty() {
-            return;
-        }
-        // Row interpretation is ~two orders of magnitude more expensive
-        // than a table probe, so parallelise even smallish batches.
-        let computed: Vec<Vec<u64>> = par_map_chunks(&missing, 32, |chunk| {
-            let mut rows = Vec::with_capacity(chunk.len() * self.num_ops);
-            for &code in chunk {
-                self.interpret_row(code, &mut rows);
-            }
-            rows
-        });
-        for (chunk, rows) in missing
-            .chunks(par_chunk_len(missing.len(), 32))
-            .zip(computed)
-        {
-            for (i, &code) in chunk.iter().enumerate() {
-                let offset = memo.rows.len() + i * self.num_ops;
-                memo.index.insert(code, offset);
-            }
-            memo.rows.extend_from_slice(&rows);
         }
     }
 
@@ -345,16 +400,6 @@ impl<'s> CompiledSystem<'s> {
                 Ok(next) => next.encode(u),
                 Err(_) => POISON,
             });
-        }
-    }
-
-    /// Re-interprets a poisoned entry to recover the precise error the
-    /// interpreter would have produced.
-    pub(crate) fn poison_error(&self, code: u64, op: usize) -> Error {
-        let sigma = State::decode(self.sys.universe(), code);
-        match self.sys.apply(OpId(op as u32), &sigma) {
-            Err(e) => e,
-            Ok(_) => Error::Invalid("poison entry without interpreter error".into()),
         }
     }
 }
@@ -410,17 +455,6 @@ pub(crate) fn worker_count() -> usize {
     })
 }
 
-/// Chunk length used by [`par_map_chunks`] for `len` items with the
-/// given sequential threshold.
-pub(crate) fn par_chunk_len(len: usize, min_seq: usize) -> usize {
-    let threads = worker_count();
-    if threads <= 1 || len <= min_seq {
-        len.max(1)
-    } else {
-        len.div_ceil(threads)
-    }
-}
-
 /// Applies `f` to chunks of `items` on scoped threads, returning one
 /// result per chunk in order. Falls back to a single sequential call
 /// when `items` is small or the machine has one core.
@@ -433,10 +467,11 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let chunk_len = par_chunk_len(items.len(), min_seq);
-    if chunk_len >= items.len() {
+    let threads = worker_count();
+    if threads <= 1 || items.len() <= min_seq.max(1) {
         return vec![f(items)];
     }
+    let chunk_len = items.len().div_ceil(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
@@ -468,18 +503,39 @@ mod tests {
         let u = sys.universe();
         let ns = sys.state_count().unwrap();
         let (dense, sparse) = compile_both(&sys);
-        let mut memo = SparseMemo::default();
         let all: Vec<u64> = (0..ns).collect();
-        sparse.ensure_rows(&mut memo, &all, &mut Trace::disabled());
-        let empty = SparseMemo::default();
+        sparse.ensure_rows(&all, &mut Trace::disabled());
+        let (dense, sparse) = (dense.rows(), sparse.rows());
         for code in 0..ns {
             let sigma = State::decode(u, code);
             for op in sys.op_ids() {
                 let expect = sys.apply(op, &sigma).unwrap().encode(u);
-                assert_eq!(dense.succ(&empty, code, op.index()), expect);
-                assert_eq!(sparse.succ(&memo, code, op.index()), expect);
+                assert_eq!(dense.step(code, op.index()).unwrap(), expect);
+                assert_eq!(sparse.step(code, op.index()).unwrap(), expect);
+                assert_eq!(
+                    Rows::Interpreted(&sys).step(code, op.index()).unwrap(),
+                    expect
+                );
             }
         }
+    }
+
+    #[test]
+    fn each_sparse_row_is_materialised_once() {
+        // Overlapping requests: only the first sighting of a code
+        // materialises its row; every later one counts as reused.
+        let sys = examples::pointer_chain_system(3, 2).unwrap();
+        let (_, sparse) = compile_both(&sys);
+        let mut trace = Trace::disabled();
+        sparse.ensure_rows(&[0, 1, 2, 3], &mut trace);
+        sparse.ensure_rows(&[2, 3, 4], &mut trace);
+        assert_eq!(trace.report.rows_materialized, 5);
+        assert_eq!(trace.report.rows_reused, 2);
+        // Dense tables have no rows to materialise.
+        let (dense, _) = compile_both(&sys);
+        let mut trace = Trace::disabled();
+        dense.ensure_rows(&[0, 1], &mut trace);
+        assert_eq!(trace.report.rows_materialized, 0);
     }
 
     #[test]
@@ -526,9 +582,10 @@ mod tests {
         );
         let cs = CompiledSystem::compile(&sys, Engine::CompiledDense, &CompileBudget::default())
             .unwrap();
-        let empty = SparseMemo::default();
         // x = 2 overflows the domain.
-        assert_eq!(cs.succ(&empty, 2, 0), POISON);
-        assert!(matches!(cs.poison_error(2, 0), Error::OutOfDomain { .. }));
+        let rows = cs.rows();
+        assert_eq!(rows.row(2).succ(0), POISON);
+        assert!(matches!(rows.step(2, 0), Err(Error::OutOfDomain { .. })));
+        assert_eq!(rows.step(1, 0).unwrap(), 2);
     }
 }

@@ -18,15 +18,16 @@
 //! "no operation creates a new difference at β".
 //!
 //! Every prover has a `_with` variant taking a prepared [`Oracle`]: the
-//! system compiles once, per-operation checks read compiled successor rows
-//! (falling back to the AST interpreter when the Oracle runs interpreted),
-//! and the `(constraint set, operation)` check matrix is discharged in
-//! parallel. Grouping inside the kernels uses arithmetic projection keys
-//! over packed `u64` codes — no `State` is decoded on the hot path.
+//! system compiles once, per-operation checks read the Oracle's successor
+//! view (compiled rows, or the interpreter when the Oracle runs
+//! interpreted), and the `(constraint set, operation)` check matrix is
+//! discharged in parallel. Grouping inside the kernels uses arithmetic
+//! projection keys over packed `u64` codes — no `State` is decoded on the
+//! hot path.
 
 use crate::certificate::{Certificate, Fact, ProofOutcome};
 use crate::classify;
-use crate::compiled::{par_map_chunks, POISON};
+use crate::compiled::par_map_chunks;
 use crate::constraint::{Phi, StateSet};
 use crate::depend::SatPartition;
 use crate::error::Result;
@@ -111,9 +112,9 @@ fn no_new_diff_kernel(
 }
 
 /// Evaluates `kernel` for every `(constraint set, operation)` pair, in
-/// parallel, against compiled successor rows when the Oracle compiles and
-/// the AST interpreter otherwise. Results are returned in pair order, so
-/// callers can replay the sequential first-failure semantics exactly.
+/// parallel, against the Oracle's successor view. Results are returned in
+/// pair order, so callers can replay the sequential first-failure
+/// semantics exactly.
 fn eval_pairs<K>(
     oracle: &Oracle,
     sat_codes: &[Vec<u64>],
@@ -123,49 +124,19 @@ fn eval_pairs<K>(
 where
     K: Fn(&[u64], &mut dyn FnMut(u64) -> Result<u64>) -> Result<bool> + Sync,
 {
-    let sys = oracle.system();
-    let u = sys.universe();
     let mut all: Vec<u64> = sat_codes.iter().flatten().copied().collect();
     all.sort_unstable();
     all.dedup();
-    oracle
-        .with_rows(&all, |cs, memo| {
-            par_map_chunks(pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(si, op)| {
-                        kernel(&sat_codes[si], &mut |code| {
-                            let next = cs.succ(memo, code, op);
-                            if next == POISON {
-                                Err(cs.poison_error(code, op))
-                            } else {
-                                Ok(next)
-                            }
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
+    let rows = oracle.successors(&all);
+    par_map_chunks(pairs, 1, |chunk| {
+        chunk
+            .iter()
+            .map(|&(si, op)| kernel(&sat_codes[si], &mut |code| rows.step(code, op)))
             .collect::<Vec<_>>()
-        })
-        .unwrap_or_else(|| {
-            par_map_chunks(pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(si, op)| {
-                        kernel(&sat_codes[si], &mut |code| {
-                            Ok(sys
-                                .apply(OpId(op as u32), &State::decode(u, code))?
-                                .encode(u))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        })
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Per-operation check `∀m: A ▷δφ m ⊃ m ∈ A`, in the linear form
@@ -179,30 +150,18 @@ pub fn op_confines_diffs(sys: &System, sat: &StateSet, a: &ObjSet, op: OpId) -> 
     })
 }
 
-/// [`op_confines_diffs`] against a prepared [`Oracle`], probing compiled
-/// successor rows instead of interpreting the operation per state.
+/// [`op_confines_diffs`] against a prepared [`Oracle`], reading its
+/// successor view instead of interpreting the operation per state.
 pub(crate) fn op_confines_diffs_with(
     oracle: &Oracle,
     sat: &StateSet,
     a: &ObjSet,
     op: OpId,
 ) -> Result<bool> {
-    let sys = oracle.system();
-    let dims = sys.universe().dims();
+    let dims = oracle.system().universe().dims();
     let codes: Vec<u64> = sat.iter().collect();
-    let op = op.0 as usize;
-    oracle
-        .with_rows(&codes, |cs, memo| {
-            confines_kernel(&dims, a, &codes, &mut |code| {
-                let next = cs.succ(memo, code, op);
-                if next == POISON {
-                    Err(cs.poison_error(code, op))
-                } else {
-                    Ok(next)
-                }
-            })
-        })
-        .unwrap_or_else(|| op_confines_diffs(sys, sat, a, OpId(op as u32)))
+    let rows = oracle.successors(&codes);
+    confines_kernel(&dims, a, &codes, &mut |code| rows.step(code, op.index()))
 }
 
 /// Per-operation check `∀M: M ▷δφ β ⊃ β ∈ M`, in the linear form
@@ -223,22 +182,10 @@ pub(crate) fn op_no_new_diff_at_with(
     beta: ObjId,
     op: OpId,
 ) -> Result<bool> {
-    let sys = oracle.system();
-    let dims = sys.universe().dims();
+    let dims = oracle.system().universe().dims();
     let codes: Vec<u64> = sat.iter().collect();
-    let op = op.0 as usize;
-    oracle
-        .with_rows(&codes, |cs, memo| {
-            no_new_diff_kernel(&dims, beta, &codes, &mut |code| {
-                let next = cs.succ(memo, code, op);
-                if next == POISON {
-                    Err(cs.poison_error(code, op))
-                } else {
-                    Ok(next)
-                }
-            })
-        })
-        .unwrap_or_else(|| op_no_new_diff_at(sys, sat, beta, OpId(op as u32)))
+    let rows = oracle.successors(&codes);
+    no_new_diff_kernel(&dims, beta, &codes, &mut |code| rows.step(code, op.index()))
 }
 
 fn render_objset(sys: &System, a: &ObjSet) -> String {
@@ -270,7 +217,7 @@ pub fn prove_cor_5_6_with(
     if !classify::is_invariant_with(oracle, phi)? {
         return Ok(ProofOutcome::Inapplicable("φ is not invariant".into()));
     }
-    let sat = phi.sat(sys)?;
+    let sat = oracle.sat_set(phi)?;
     let mut cert = Certificate::new(
         "Corollary 5-6",
         format!(
@@ -393,7 +340,7 @@ pub fn prove_cor_4_2_with(
     if !classify::is_invariant_with(oracle, phi)? {
         return Ok(ProofOutcome::Inapplicable("φ is not invariant".into()));
     }
-    let sat = phi.sat(sys)?;
+    let sat = oracle.sat_set(phi)?;
     let mut cert = Certificate::new(
         "Corollary 4-2",
         format!(
@@ -516,45 +463,21 @@ pub fn prove_cor_4_3_with(
     let pairs: Vec<(usize, usize)> = (0..sys.num_ops())
         .flat_map(|op| (0..objs.len()).map(move |xi| (op, xi)))
         .collect();
-    let all: Vec<u64> = oracle.sat_codes(phi)?.to_vec();
-    let sinks: Vec<Result<ObjSet>> = oracle
-        .with_rows(&all, |cs, memo| {
-            par_map_chunks(&pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(op, xi)| {
-                        op_sinks_kernel(&dims, &parts[xi], &mut |code| {
-                            let next = cs.succ(memo, code, op);
-                            if next == POISON {
-                                Err(cs.poison_error(code, op))
-                            } else {
-                                Ok(next)
-                            }
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>()
+    // The view is dropped before q runs: q is the caller's closure.
+    let sinks: Vec<Result<ObjSet>> = {
+        let rows = oracle.successors(&oracle.sat_codes(phi)?);
+        par_map_chunks(&pairs, 1, |chunk| {
+            chunk
+                .iter()
+                .map(|&(op, xi)| {
+                    op_sinks_kernel(&dims, &parts[xi], &mut |code| rows.step(code, op))
+                })
+                .collect::<Vec<_>>()
         })
-        .unwrap_or_else(|| {
-            par_map_chunks(&pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(op, xi)| {
-                        op_sinks_kernel(&dims, &parts[xi], &mut |code| {
-                            Ok(sys
-                                .apply(OpId(op as u32), &State::decode(u, code))?
-                                .encode(u))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        });
+        .into_iter()
+        .flatten()
+        .collect()
+    };
     for (&(op, xi), sinks) in pairs.iter().zip(sinks) {
         let x = objs[xi];
         for y in sinks?.iter() {

@@ -9,15 +9,17 @@
 //!
 //! - the [`CompiledSystem`] successor tables, built **once** at
 //!   construction (or not at all when the engine falls back to the
-//!   interpreter — see below);
+//!   interpreter — see below). A sparse system's row store lives in the
+//!   compiled system itself, so every pair search and every op-kernel
+//!   sweep of [`crate::induction`], [`crate::classify`] and
+//!   [`crate::after`] reads and extends the same rows
+//!   (`Oracle::successors`);
 //! - interned `Sat(φ)` enumerations, hash-indexed and confirmed by
 //!   structural φ equality (never re-enumerated for a φ the Oracle has
 //!   already seen);
 //! - a pool of reusable search buffers (visited structure, BFS node
-//!   arena, sparse row memo), so a sweep of thousands of pair searches
-//!   allocates only on growth;
-//! - a shared sparse-row cache for the op-kernel sweeps of
-//!   [`crate::induction`] and [`crate::classify`].
+//!   arena), so a sweep of thousands of pair searches allocates only on
+//!   growth.
 //!
 //! An Oracle answers nothing by itself: [`crate::query::Query::run`]
 //! asks it questions, and one-shot [`crate::query::Query::run_on`] runs
@@ -42,10 +44,8 @@ use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::compiled::{
-    par_map_chunks, CompileBudget, CompiledSystem, Engine, SparseMemo, TableKind,
-};
-use crate::constraint::Phi;
+use crate::compiled::{par_map_chunks, CompileBudget, CompiledSystem, Engine, Rows, TableKind};
+use crate::constraint::{Phi, StateSet};
 use crate::depend::{self, SatPartition};
 use crate::error::{Error, Result};
 use crate::reach::{
@@ -146,8 +146,6 @@ pub struct Oracle<'s> {
     sat_cache: Mutex<SatCache>,
     /// Reusable search buffers (one per concurrently running search).
     pool: Mutex<Vec<SearchBuffers>>,
-    /// Shared sparse-row cache for op-kernel sweeps.
-    rows: Mutex<SparseMemo>,
     /// Telemetry sink, attached at construction so compile events are
     /// observable. `None` ⇒ uninstrumented (one branch per emission
     /// site, no event construction).
@@ -246,10 +244,7 @@ impl<'s> Oracle<'s> {
             let cs = CompiledSystem::compile(sys, engine, budget)?;
             if let Some(s) = &sink {
                 s.record(&QueryEvent::CompileFinish {
-                    kind: match cs.kind() {
-                        TableKind::Dense => "compiled-dense",
-                        TableKind::Sparse => "compiled-sparse",
-                    },
+                    kind: cs.kind().engine_name(),
                     wall_ns: start.elapsed().as_nanos() as u64,
                 });
             }
@@ -263,7 +258,6 @@ impl<'s> Oracle<'s> {
             compiled,
             sat_cache: Mutex::new(SatCache::default()),
             pool: Mutex::new(Vec::new()),
-            rows: Mutex::new(SparseMemo::default()),
             sink,
             compiles,
             searches: AtomicU64::new(0),
@@ -298,13 +292,8 @@ impl<'s> Oracle<'s> {
 
     /// The engine label searches through this Oracle report.
     pub(crate) fn engine_name(&self) -> &'static str {
-        match &self.compiled {
-            None => "interpreted",
-            Some(cs) => match cs.kind() {
-                TableKind::Dense => "compiled-dense",
-                TableKind::Sparse => "compiled-sparse",
-            },
-        }
+        self.table_kind()
+            .map_or("interpreted", |kind| kind.engine_name())
     }
 
     /// Table layout of the compiled system, `None` when interpreted.
@@ -347,6 +336,15 @@ impl<'s> Oracle<'s> {
             .lock()
             .expect("sat cache lock")
             .insert(hash, phi, codes))
+    }
+
+    /// `Sat(φ)` as a state set, built from the interned enumeration.
+    pub(crate) fn sat_set(&self, phi: &Phi) -> Result<StateSet> {
+        let mut out = StateSet::new(self.ns);
+        for &code in self.sat_codes(phi)?.iter() {
+            out.insert(code);
+        }
+        Ok(out)
     }
 
     /// `Sat(φ)` partitioned into `=A=` classes, from the interned
@@ -480,26 +478,19 @@ impl<'s> Oracle<'s> {
         Ok((rows, total))
     }
 
-    /// Runs `f` against the compiled tables with sparse successor rows
-    /// for `codes` guaranteed materialised, reusing (and extending) the
-    /// Oracle's shared row cache. Returns `None` when this Oracle runs
-    /// interpreted — callers fall back to the AST-walking kernel.
-    pub(crate) fn with_rows<R>(
-        &self,
-        codes: &[u64],
-        f: impl FnOnce(&CompiledSystem<'s>, &SparseMemo) -> R,
-    ) -> Option<R> {
-        let cs = self.compiled.as_ref()?;
-        let mut memo = std::mem::take(&mut *self.rows.lock().expect("row cache lock"));
-        if cs.kind() == TableKind::Sparse {
-            let mut trace = Trace::new(self.sink_ref());
-            cs.ensure_rows(&mut memo, codes, &mut trace);
+    /// A view of the successor function for the op-kernel sweeps, with
+    /// the sparse rows of every state in `codes` materialised in the
+    /// compiled system's row store (counted on the Oracle's sink). When
+    /// the Oracle runs interpreted, the view interprets each step. See
+    /// [`Rows`] for the one rule its holder must keep.
+    pub(crate) fn successors(&self, codes: &[u64]) -> Rows<'_> {
+        match &self.compiled {
+            None => Rows::Interpreted(self.sys),
+            Some(cs) => {
+                cs.ensure_rows(codes, &mut Trace::new(self.sink_ref()));
+                cs.rows()
+            }
         }
-        let out = f(cs, &memo);
-        // Concurrent callers may have raced the take; keeping the most
-        // recent memo is fine — it is only a cache.
-        *self.rows.lock().expect("row cache lock") = memo;
-        Some(out)
     }
 }
 
@@ -585,6 +576,90 @@ mod tests {
             .unwrap();
         assert_eq!(out.report.engine, "interpreted");
         assert_eq!(oracle.stats().compiles, 0);
+    }
+
+    /// Every (source, β) query of `pointer_chain(3, 2)` under `φ = tt`.
+    fn chain_queries(sys: &System) -> Vec<Query> {
+        let u = sys.universe();
+        u.objects()
+            .flat_map(|a| {
+                u.objects()
+                    .map(move |beta| Query::new(Phi::True, ObjSet::singleton(a)).beta(beta))
+            })
+            .collect()
+    }
+
+    /// Verdict, witness and materialised-row count of one query.
+    type Answer = (Option<(crate::History, crate::State, crate::State)>, u64);
+
+    fn answer(q: &Query, oracle: &Oracle) -> Answer {
+        let out = q.run(oracle).unwrap();
+        let rows = out.report.rows_materialized;
+        let w = out.into_witness().map(|w| (w.history, w.sigma1, w.sigma2));
+        (w, rows)
+    }
+
+    #[test]
+    fn concurrent_searches_materialise_each_row_once() {
+        let sys = examples::pointer_chain_system(3, 2).unwrap();
+        let budget = CompileBudget::default();
+        let queries = chain_queries(&sys);
+        let fresh = Oracle::with_engine(&sys, Engine::CompiledSparse, &budget).unwrap();
+        let sequential: Vec<Answer> = queries.iter().map(|q| answer(q, &fresh)).collect();
+        let sequential_rows: u64 = sequential.iter().map(|a| a.1).sum();
+        assert!(sequential_rows > 0);
+
+        // Eight threads released together, each taking every eighth query.
+        const THREADS: usize = 8;
+        let shared = Oracle::with_engine(&sys, Engine::CompiledSparse, &budget).unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let mut concurrent: Vec<Option<Answer>> = vec![None; queries.len()];
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (queries, shared, barrier) = (&queries, &shared, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        (t..queries.len())
+                            .step_by(THREADS)
+                            .map(|i| (i, answer(&queries[i], shared)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (i, a) in h.join().unwrap() {
+                    concurrent[i] = Some(a);
+                }
+            }
+        });
+        let mut concurrent_rows = 0;
+        for (i, (got, want)) in concurrent.into_iter().zip(&sequential).enumerate() {
+            let got = got.expect("every query ran");
+            assert_eq!(got.0, want.0, "verdict or witness differs for query {i}");
+            concurrent_rows += got.1;
+        }
+        assert_eq!(
+            concurrent_rows, sequential_rows,
+            "each sparse row is materialised exactly once"
+        );
+    }
+
+    #[test]
+    fn searches_reuse_the_rows_a_prover_materialised() {
+        // φ = tt is invariant, so the invariance sweep touches every state
+        // a later search can reach.
+        let sys = examples::pointer_chain_system(3, 2).unwrap();
+        let oracle =
+            Oracle::with_engine(&sys, Engine::CompiledSparse, &CompileBudget::default()).unwrap();
+        assert!(crate::classify::is_invariant_with(&oracle, &Phi::True).unwrap());
+        let mut reused = 0;
+        for q in chain_queries(&sys) {
+            let report = q.run(&oracle).unwrap().report;
+            assert_eq!(report.rows_materialized, 0);
+            reused += report.rows_reused;
+        }
+        assert!(reused > 0, "the searches read rows");
     }
 
     #[test]

@@ -47,9 +47,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::bitset::BitSet;
-use crate::compiled::{
-    par_map_chunks, CompileBudget, CompiledSystem, Engine, SparseMemo, TableKind, POISON,
-};
+use crate::compiled::{par_map_chunks, CompileBudget, CompiledSystem, Engine, TableKind, POISON};
 use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::fastmap::U64Set;
@@ -324,7 +322,9 @@ impl Visited {
 }
 
 /// Reusable scratch for repeated compiled searches over one system: the
-/// visited structure, the BFS node arena, and the sparse row memo.
+/// visited structure and the BFS node arena. Successor rows are not
+/// scratch: they live in the [`CompiledSystem`]'s one row store, shared
+/// by every search and prover sweep over it.
 ///
 /// [`crate::oracle::Oracle`] keeps a pool of these so a sweep of many
 /// searches allocates only on growth. Buffers must be created with the
@@ -332,7 +332,6 @@ impl Visited {
 pub(crate) struct SearchBuffers {
     visited: Visited,
     nodes: Vec<Node>,
-    memo: SparseMemo,
 }
 
 impl SearchBuffers {
@@ -340,13 +339,10 @@ impl SearchBuffers {
         SearchBuffers {
             visited: Visited::with_capacity(ns, budget),
             nodes: Vec::new(),
-            memo: SparseMemo::default(),
         }
     }
 
-    /// Clears the previous search's visited marks and node arena. The
-    /// sparse row memo is retained: successor rows depend only on the
-    /// system, so they stay valid across searches.
+    /// Clears the previous search's visited marks and node arena.
     fn reset(&mut self) {
         match &mut self.visited {
             // Every visited key has exactly one node (insert and push are
@@ -406,16 +402,9 @@ pub(crate) fn compiled_search(
     let u = cs.system().universe();
     let ns = cs.state_count();
     let num_ops = cs.num_ops();
-    trace.report.engine = match cs.kind() {
-        TableKind::Dense => "compiled-dense",
-        TableKind::Sparse => "compiled-sparse",
-    };
+    trace.report.engine = cs.kind().engine_name();
     bufs.reset();
-    let SearchBuffers {
-        visited,
-        nodes,
-        memo,
-    } = bufs;
+    let SearchBuffers { visited, nodes } = bufs;
 
     // Roots, goal-checked in the same ascending order the interpreted
     // engine discovers them. Key order equals pair order because the
@@ -456,7 +445,9 @@ pub(crate) fn compiled_search(
         trace.report.pair_expansions += (hi - lo) as u64 * num_ops as u64;
         depth += 1;
         // Materialise sparse successor rows for every state in the
-        // frontier (parallel, no-op for dense tables).
+        // frontier (parallel, no-op for dense tables), then take this
+        // level's one view of the tables. It is dropped before the next
+        // level materialises more rows.
         if cs.kind() == TableKind::Sparse {
             let mut codes: Vec<u64> = Vec::with_capacity((hi - lo) * 2);
             for n in &nodes[lo..hi] {
@@ -465,8 +456,9 @@ pub(crate) fn compiled_search(
             }
             codes.sort_unstable();
             codes.dedup();
-            cs.ensure_rows(memo, &codes, trace);
+            cs.ensure_rows(&codes, trace);
         }
+        let rows = cs.rows();
         // Expand the frontier in parallel; each chunk emits candidates in
         // frontier × op order.
         let frontier: Vec<(u64, u32)> = nodes[lo..hi]
@@ -474,7 +466,7 @@ pub(crate) fn compiled_search(
             .enumerate()
             .map(|(i, n)| (n.key, (lo + i) as u32))
             .collect();
-        let memo_ref = &*memo;
+        let rows_ref = &rows;
         let visited_ref = &*visited;
         let candidates: Vec<Vec<Node>> = par_map_chunks(&frontier, 64, |chunk| {
             let mut out = Vec::new();
@@ -482,8 +474,8 @@ pub(crate) fn compiled_search(
                 let (c1, c2) = (key / ns, key % ns);
                 // One row borrow per side instead of a table lookup per
                 // operation.
-                let r1 = cs.row(memo_ref, c1);
-                let r2 = cs.row(memo_ref, c2);
+                let r1 = rows_ref.row(c1);
+                let r2 = rows_ref.row(c2);
                 for op in 0..num_ops {
                     let n1 = r1.succ(op);
                     let n2 = r2.succ(op);
@@ -530,14 +522,14 @@ pub(crate) fn compiled_search(
         // witnesses — match the interpreted FIFO exactly.
         for cand in candidates.into_iter().flatten() {
             if cand.key == POISON {
+                // The first poisoned side's error, as the interpreter
+                // would report it.
                 let pkey = nodes[cand.parent as usize].key;
                 let op = cand.op as usize;
-                let side = if cs.succ(memo, pkey / ns, op) == POISON {
-                    pkey / ns
-                } else {
-                    pkey % ns
-                };
-                return Err(cs.poison_error(side, op));
+                rows.step(pkey / ns, op)?;
+                return Err(rows
+                    .step(pkey % ns, op)
+                    .expect_err("a deferred candidate has a poisoned side"));
             }
             if visited.insert(cand.key) {
                 levels = depth;
@@ -990,6 +982,26 @@ mod tests {
                     assert_eq!(got, want, "exhaustive search diverges for {src}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_a_system_without_operations() {
+        // No operation ever runs, so no flow exists; a sparse search must
+        // still find (empty) rows for its roots.
+        let u = Universe::new(vec![
+            ("x".into(), Domain::int_range(0, 2).unwrap()),
+            ("y".into(), Domain::int_range(0, 2).unwrap()),
+        ])
+        .unwrap();
+        let (x, y) = (u.obj("x").unwrap(), u.obj("y").unwrap());
+        let sys = System::new(u, Vec::new());
+        for engine in ENGINES {
+            let out = q(&Phi::True, &ObjSet::singleton(x), y)
+                .engine(engine)
+                .run_on(&sys)
+                .unwrap();
+            assert!(!out.holds(), "{engine:?}");
         }
     }
 
