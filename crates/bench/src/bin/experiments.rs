@@ -4,9 +4,16 @@
 //! reproduces one worked example, theorem or claim from the paper. Run
 //! with `cargo run -p sd-bench --bin experiments --release`.
 //!
-//! `--sat-enum` times the Sat(φ) enumeration — the reference scan of
-//! every state against the per-object normal form — and writes
-//! `BENCH_sat_enum.json`.
+//! Arguments `p1` … `p6` run only those performance sections. Each one
+//! times its cases with [`time5`] and writes one `BENCH_*.json` through
+//! [`Ledger`]:
+//!
+//! - `p1`: Cor 4-3 induction vs exact search (`BENCH_induction_vs_exact.json`);
+//! - `p2`: interpreted vs compiled pair search (`BENCH_pair_bfs.json`);
+//! - `p3`: static certification vs semantics (`BENCH_static_vs_semantic.json`);
+//! - `p4`: quantitative measures (`BENCH_info.json`);
+//! - `p5`: prover sweeps (`BENCH_provers.json`);
+//! - `p6`: Sat(φ) enumeration (`BENCH_sat_enum.json`).
 //!
 //! `--telemetry OUT.jsonl` instead runs a short instrumented workload
 //! (cold + warm `sinks_matrix` sweeps and a witness query against a
@@ -16,8 +23,21 @@
 use std::time::Instant;
 
 use sd_bench::Table;
-use sd_core::{examples, Expr, History, ObjSet, OpId, Phi, Rights};
+use sd_core::certificate::ProofOutcome;
+use sd_core::{examples, DependsWitness, Expr, History, JsonBuf, ObjId, ObjSet, OpId, Phi, Rights};
 use sd_info::Dist;
+
+type Section = fn() -> Result<(), Box<dyn std::error::Error>>;
+
+/// The performance sections, by the argument that selects each.
+const PERF: [(&str, Section); 6] = [
+    ("p1", p1_induction_vs_exact),
+    ("p2", p2_pair_bfs),
+    ("p3", p3_static_vs_semantic),
+    ("p4", p4_info),
+    ("p5", p5_provers),
+    ("p6", p6_sat_enum),
+];
 
 fn yes(b: bool) -> String {
     if b {
@@ -28,29 +48,26 @@ fn yes(b: bool) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // An optional argument re-runs just one performance section (p2, p3
-    // or p5) instead of the whole harness; `--telemetry OUT.jsonl` runs
-    // the instrumented workload and writes an event log.
-    if let Some(section) = std::env::args().nth(1) {
-        match section.as_str() {
-            "p2" => p2_pair_bfs()?,
-            "p3" => p3_static_vs_semantic()?,
-            "p5" => p5_provers()?,
-            "--sat-enum" => sat_enum()?,
-            "--telemetry" => {
-                let out = std::env::args()
-                    .nth(2)
-                    .ok_or("--telemetry requires an output path (e.g. out.jsonl)")?;
-                telemetry_log(&out)?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown section {other:?} (try p2, p3, p5, --sat-enum, --telemetry)"
-                )
-                .into())
-            }
-        }
-        return Ok(());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("--telemetry") {
+        let out = args
+            .get(1)
+            .ok_or("--telemetry requires an output path (e.g. out.jsonl)")?;
+        return telemetry_log(out);
+    }
+    if !args.is_empty() {
+        // Resolve every argument before running anything, so a typo
+        // fails at once rather than after minutes of timing.
+        let sections = args
+            .iter()
+            .map(|arg| {
+                PERF.iter()
+                    .find(|(name, _)| name == arg)
+                    .map(|&(_, run)| run)
+                    .ok_or_else(|| format!("unknown section {arg:?} (try p1 … p6, --telemetry)"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        return sections.iter().try_for_each(|run| run());
     }
     let started = Instant::now();
     e1_variety()?;
@@ -72,9 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     e17_set_sources()?;
     e18_inferential()?;
     e19_mechanisms()?;
-    p2_pair_bfs()?;
-    p3_static_vs_semantic()?;
-    p5_provers()?;
+    PERF.iter().try_for_each(|(_, run)| run())?;
     println!("\ntotal harness time: {:.2?}", started.elapsed());
     Ok(())
 }
@@ -353,26 +368,22 @@ fn e5_worth() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// E6 (§4.3): the pointer-chain induction proof, with scaling.
-fn e6_pointer_chains() -> Result<(), Box<dyn std::error::Error>> {
-    println!("\n== E6 (§4.3): pointer chains — Strong Dependency Induction vs exact ==");
-    let mut t = Table::new(&[
-        "n objects",
-        "states",
-        "ops",
-        "induction proves ¬α▷φβ",
-        "induction ms",
-        "exact agrees",
-        "exact ms",
-    ]);
-    for n in [3usize, 4] {
+/// The §4.3 pointer-chain workload of E6 and P1:
+/// `pointer_chain_system(n, 2)` under φ = "nothing outside Chain = {o0}
+/// points into it", asking whether α = o0 reaches β = o(n−1).
+struct ChainCase {
+    sys: sd_core::System,
+    phi: Phi,
+    alpha: ObjId,
+    beta: ObjId,
+}
+
+impl ChainCase {
+    fn new(n: usize) -> sd_core::Result<ChainCase> {
         let sys = examples::pointer_chain_system(n, 2)?;
         let u = sys.universe();
         let alpha = u.obj("o0")?;
         let beta = u.obj(&format!("o{}", n - 1))?;
-        // Chain = {o0}: φ says nothing outside the chain points into it.
-        let chain = ObjSet::singleton(alpha);
-        let chain_phi = chain.clone();
         let phi = Phi::pred("chain-closed", move |sys, sigma| {
             let u = sys.universe();
             for y in u.objects() {
@@ -382,34 +393,56 @@ fn e6_pointer_chains() -> Result<(), Box<dyn std::error::Error>> {
                     }
                     _ => unreachable!("pointer objects are records"),
                 };
-                if chain_phi.contains(target) && !chain_phi.contains(y) {
+                if target == alpha && y != alpha {
                     return Ok(false);
                 }
             }
             Ok(true)
         });
-        let chain_q = chain.clone();
-        let q = move |x: sd_core::ObjId, y: sd_core::ObjId| {
-            // q(x, y) = Chain(x) ⊃ Chain(y).
-            !chain_q.contains(x) || chain_q.contains(y)
-        };
-        let t0 = Instant::now();
-        let proof = sd_core::induction::prove_cor_4_3(&sys, &phi, &q, "Chain(x) ⊃ Chain(y)")?;
-        let ind_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let exact = sd_core::Query::new(phi.clone(), ObjSet::singleton(alpha).clone())
-            .beta(beta)
-            .run_on(&sys)?
-            .into_witness();
-        let exact_ms = t1.elapsed().as_secs_f64() * 1e3;
+        Ok(ChainCase {
+            sys,
+            phi,
+            alpha,
+            beta,
+        })
+    }
+
+    /// Cor 4-3 with q(x, y) = Chain(x) ⊃ Chain(y).
+    fn prove(&self) -> sd_core::Result<ProofOutcome> {
+        let alpha = self.alpha;
+        let q = move |x: ObjId, y: ObjId| x != alpha || y == alpha;
+        sd_core::induction::prove_cor_4_3(&self.sys, &self.phi, &q, "Chain(x) ⊃ Chain(y)")
+    }
+
+    /// The exact pair search for `α ▷φ β`.
+    fn exact(&self) -> sd_core::Result<Option<DependsWitness>> {
+        Ok(
+            sd_core::Query::new(self.phi.clone(), ObjSet::singleton(self.alpha))
+                .beta(self.beta)
+                .run_on(&self.sys)?
+                .into_witness(),
+        )
+    }
+}
+
+/// E6 (§4.3): the pointer-chain induction proof, with scaling.
+fn e6_pointer_chains() -> Result<(), Box<dyn std::error::Error>> {
+    println!("\n== E6 (§4.3): pointer chains — Strong Dependency Induction vs exact ==");
+    let mut t = Table::new(&[
+        "n objects",
+        "states",
+        "ops",
+        "induction proves ¬α▷φβ",
+        "exact agrees",
+    ]);
+    for n in [3usize, 4] {
+        let case = ChainCase::new(n)?;
         t.row(&[
             n.to_string(),
-            sys.state_count()?.to_string(),
-            sys.num_ops().to_string(),
-            yes(proof.is_proved()),
-            format!("{ind_ms:.1}"),
-            yes(exact.is_none()),
-            format!("{exact_ms:.1}"),
+            case.sys.state_count()?.to_string(),
+            case.sys.num_ops().to_string(),
+            yes(case.prove()?.is_proved()),
+            yes(case.exact()?.is_none()),
         ]);
     }
     print!("{}", t.render());
@@ -999,60 +1032,95 @@ fn e19_mechanisms() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// P3: static Denning baseline vs exact semantics, precision sweep.
-/// P2: interpreted vs compiled pair-BFS engines. Prints the comparison
-/// table and emits `BENCH_pair_bfs.json` (workload parameters, wall
-/// times, visited-pair counts) for the committed record.
+/// P1: Strong Dependency Induction (Cor 4-3) vs the exact pair search on
+/// the §4.3 pointer chains, with the bounded history enumeration (every
+/// history up to length 2 checked against one Sat(φ) partition, Def 2-7)
+/// as the pre-pair-search ablation. The enumeration grows as |Δ|^bound,
+/// so it runs on the small chain only. The matrix substrate adds the
+/// secure-configuration proof (Cor 4-3) vs its exact check, and the
+/// confinement check. Writes `BENCH_induction_vs_exact.json`.
+fn p1_induction_vs_exact() -> Result<(), Box<dyn std::error::Error>> {
+    use sd_core::depend::{strongly_depends_after_with, SatPartition};
+    use sd_core::history::histories_up_to;
+    use sd_matrix::{Confinement, MatrixBuilder, SecurityPolicy};
+
+    println!("\n== P1: Strong Dependency Induction vs exact search ==");
+    let mut cases = Cases::new("induction_vs_exact");
+    for n in [3usize, 4] {
+        let case = ChainCase::new(n)?;
+        let name = format!("pointer chain n={n} ({} states)", case.sys.state_count()?);
+        let proof = cases.time(&name, "cor_4_3", || case.prove())?;
+        let exact = cases.time(&name, "exact_bfs", || case.exact())?;
+        assert!(
+            proof.is_proved() && exact.is_none(),
+            "{name}: E6's verdicts"
+        );
+        if n == 3 {
+            let src = ObjSet::singleton(case.alpha);
+            let bounded = cases.time(&name, "bounded_enum_len2", || {
+                let part = SatPartition::new(&case.sys, &case.phi, &src)?;
+                histories_up_to(case.sys.num_ops(), 2)
+                    .map(|h| strongly_depends_after_with(&case.sys, &part, case.beta, &h))
+                    .find_map(Result::transpose)
+                    .transpose()
+            })?;
+            assert!(bounded.is_none(), "{name}: no flow within length 2");
+        }
+    }
+    for files in [2usize, 3] {
+        let mut b = MatrixBuilder::new().subject("u");
+        for i in 0..files {
+            b = b.file(&format!("f{i}"), 2);
+        }
+        let m = b.build()?;
+        let levels: Vec<(String, u32)> = (0..files).map(|i| (format!("f{i}"), i as u32)).collect();
+        let refs: Vec<(&str, u32)> = levels.iter().map(|(f, l)| (f.as_str(), *l)).collect();
+        let p = SecurityPolicy::new(&m, &refs, 0)?;
+        let phi = p.secure_configuration(&m)?;
+        let name = format!("security {files} files");
+        cases.time(&name, "prove", || p.prove(&m, &phi))?;
+        cases.time(&name, "holds", || p.holds(&m, &phi))?;
+    }
+    for files in [2usize, 3] {
+        let mut b = MatrixBuilder::new().subject("u").file("secret", 2);
+        for i in 1..files {
+            b = b.file(&format!("f{i}"), 2);
+        }
+        let m = b.file("spy", 2).build()?;
+        let conf = Confinement::new(&m, &["secret"], &["spy"])?;
+        let phi = sd_matrix::no_reads_of_confined(&m, &["secret"])?;
+        let name = format!("confinement {} files", files + 1);
+        cases.time(&name, "is_solution_for_pair", || {
+            conf.is_solution_for_pair(&m, &phi, "secret", "spy")
+        })?;
+    }
+    cases.finish()
+}
+
+/// P2: interpreted vs compiled pair-BFS engines, one β-target query per
+/// workload. Random guarded-copy systems show the crossover region where
+/// compilation overhead still matters; on the pinned pointer chains
+/// (see [`sd_bench::workloads::pointer_chain_pinned`]) `o0 ▷φ o(n−1)` is
+/// false, so every engine must exhaust the reachable pair space. Writes
+/// `BENCH_pair_bfs.json`.
 fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
-    use sd_core::{CompileBudget, Engine};
+    use sd_core::Engine;
 
     println!("\n== P2: pair-BFS engines — interpreted vs compiled tables ==");
-    let budget = CompileBudget::default();
-
-    // (family, system, φ) — the same workloads as benches/pair_bfs.rs.
-    let mut cases: Vec<(String, sd_core::System, Phi, &str, &str)> = Vec::new();
-    for (n, k) in [(4usize, 2i64), (5, 3)] {
-        cases.push((
-            format!("random n={n} k={k}"),
-            sd_bench::workloads::random_system(n, k, 4, 7)?,
-            Phi::True,
-            "x0",
-            "last",
-        ));
+    let mut cases: Vec<(String, sd_core::System, Phi)> = Vec::new();
+    for (n, k) in [(4usize, 2i64), (5, 2), (6, 2), (4, 3), (5, 3)] {
+        let sys = sd_bench::workloads::random_system(n, k, 4, 7)?;
+        cases.push((format!("random n={n} k={k}"), sys, Phi::True));
     }
+    // d = 2 scales the chain length; d = 3 deepens the data alphabet,
+    // which decorrelates difference patterns further and pushes the
+    // visited-pairs / reached-states ratio from ~8 to ~81.
     for (n, d) in [(4usize, 2i64), (5, 2), (6, 2), (6, 3)] {
         let (sys, phi) = sd_bench::workloads::pointer_chain_pinned(n, d)?;
-        cases.push((format!("pointer-chain n={n} d={d}"), sys, phi, "o0", "last"));
+        cases.push((format!("pointer-chain n={n} d={d}"), sys, phi));
     }
 
-    // Wall time for one β-target query: median of `reps`
-    // runs, where `reps` adapts so fast cases are measured stably and
-    // slow ones are not run to death.
-    let time_one = |sys: &sd_core::System,
-                    phi: &Phi,
-                    a: &ObjSet,
-                    beta: sd_core::ObjId,
-                    engine: Engine,
-                    budget: &CompileBudget|
-     -> Result<(f64, sd_core::QueryReport, bool), sd_core::Error> {
-        let mut samples = Vec::new();
-        let (report, witness) = loop {
-            let t = Instant::now();
-            let out = sd_core::Query::new(phi.clone(), a.clone())
-                .beta(beta)
-                .engine(engine)
-                .budget(*budget)
-                .run_on(sys)?;
-            samples.push(t.elapsed().as_secs_f64() * 1e3);
-            let done = samples.len() >= 5 || (samples.len() >= 2 && samples[0] > 200.0);
-            if done {
-                break (out.report, out.holds());
-            }
-        };
-        samples.sort_by(|a, b| a.total_cmp(b));
-        Ok((samples[samples.len() / 2], report, witness))
-    };
-
+    let mut ledger = Ledger::new("pair_bfs");
     let mut t = Table::new(&[
         "workload",
         "states",
@@ -1062,464 +1130,53 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
         "wall ms",
         "speedup",
     ]);
-    let mut json_rows = Vec::new();
-    for (name, sys, phi, src, _beta) in &cases {
-        let u = sys.universe();
-        let a = ObjSet::singleton(u.obj(src)?);
-        let beta = u.objects().last().expect("non-empty universe");
+    for (name, sys, phi) in &cases {
+        let mut objects = sys.universe().objects();
+        let a = ObjSet::singleton(objects.next().expect("non-empty universe"));
+        let beta = objects.last().expect("at least two objects");
         let states = sys.state_count()?;
-        let ops = sys.num_ops();
-        let mut interp_ms = None;
+        let ops = sys.num_ops() as u64;
+        let mut interpreted = None;
         for engine in [Engine::Interpreted, Engine::Auto] {
-            let (ms, report, witness) = time_one(sys, phi, &a, beta, engine, &budget)?;
-            let speedup = match (engine, interp_ms) {
-                (Engine::Interpreted, _) => {
-                    interp_ms = Some(ms);
-                    "1.00x (ref)".into()
-                }
-                (_, Some(reference)) => format!("{:.2}x", reference / ms),
-                _ => "-".into(),
-            };
+            let query = sd_core::Query::new(phi.clone(), a.clone())
+                .beta(beta)
+                .engine(engine);
+            let (time, out) = time5(|| query.run_on(sys))?;
+            let reference = *interpreted.get_or_insert(time.median);
+            let r = &out.report;
             t.row(&[
                 name.clone(),
                 states.to_string(),
                 ops.to_string(),
-                report.engine.into(),
-                report.visited_pairs.to_string(),
-                format!("{ms:.3}"),
-                speedup,
+                r.engine.into(),
+                r.visited_pairs.to_string(),
+                time.to_string(),
+                format!("{:.2}x", reference / time.median),
             ]);
-            json_rows.push(format!(
-                concat!(
-                    "    {{\"workload\": {:?}, \"states\": {}, \"ops\": {}, ",
-                    "\"engine\": {:?}, \"visited_pairs\": {}, \"levels\": {}, ",
-                    "\"wall_ms\": {:.3}, \"witness\": {}}}"
-                ),
-                name, states, ops, report.engine, report.visited_pairs, report.levels, ms, witness
-            ));
+            ledger.row(&[("wall", time)], |j| {
+                j.str_field("workload", name)
+                    .u64_field("states", states)
+                    .u64_field("ops", ops)
+                    .str_field("engine", r.engine)
+                    .u64_field("visited_pairs", r.visited_pairs)
+                    .u64_field("levels", u64::from(r.levels))
+                    .bool_field("witness", out.holds());
+            });
         }
     }
     print!("{}", t.render());
     println!("expected: compiled ≥10x faster on the pointer-chain family at n ≥ 6");
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"pair_bfs\",\n  \"unit\": \"wall_ms\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_pair_bfs.json", json)?;
-    println!("wrote BENCH_pair_bfs.json");
+    ledger.write()?;
     Ok(())
 }
 
-/// The `sdbench` cold_search program above the dense-table budget
-/// (3,670,016 states), copied from `sdbench/src/gen.rs`.
-const BIG_PROGRAM: &str = "var x: int 0..15;
-var y: int 0..15;
-var z: int 0..15;
-var w: int 0..15;
-var f: bool;
-var g: bool;
-var h: bool;
-if f { y := x; }
-if x < 8 { z := y; } else { z := w; }
-if g { w := z; }
-y := (y + w) % 16;
-if z == 3 { f := true; }
-if h { g := f; }
-";
-
-/// `--sat-enum`: Sat(φ) enumeration, the reference scan of every state
-/// (`depend::sat_codes_scan`) against the per-object normal form
-/// (`depend::sat_codes`), on the cold_search big-program φ, the
-/// mod_adder φ families and one residual-heavy φ. Each timing is the
-/// median and interquartile range of 5 runs; the two enumerations are
-/// checked to be identical. Writes `BENCH_sat_enum.json`.
-fn sat_enum() -> Result<(), Box<dyn std::error::Error>> {
-    use sd_core::depend::{sat_codes, sat_codes_scan};
-
-    println!("\n== Sat(φ) enumeration — full scan vs per-object normal form ==");
-    let big = sd_lang::compile(&sd_lang::parse(BIG_PROGRAM)?)?.system;
-    let systems: Vec<(&str, sd_core::System, Vec<&str>)> = vec![
-        (
-            "cold_search big program",
-            big,
-            vec![
-                "pc == 1 && x == 3 && f",
-                "pc == 1 && z == 5 && !h",
-                "pc == 1 && x < y && f",
-            ],
-        ),
-        (
-            "mod_adder(5)",
-            examples::mod_adder_system(5)?,
-            vec![
-                "a2 == 7 && beta < 12",
-                "a1 < 9 && a2 == 4",
-                "beta == 3 && a1 < 10",
-            ],
-        ),
-        (
-            "mod_adder(7)",
-            examples::mod_adder_system(7)?,
-            vec!["a1 == 3 && a2 < 4", "a2 == 100 && beta < 64"],
-        ),
-    ];
-    let meta = RunMeta::current();
-    let mut t = Table::new(&[
-        "system",
-        "φ",
-        "|Σ|",
-        "|Sat|",
-        "scan ms",
-        "normal form ms",
-        "speedup",
-    ]);
-    let mut json_rows = Vec::new();
-    for (name, sys, phis) in &systems {
-        let states = sys.state_count()?;
-        for src in phis {
-            let phi = sd_lang::lower_phi(sys.universe(), src)?;
-            let (scan_ms, scan_iqr, scan) = time5(|| sat_codes_scan(sys, &phi))?;
-            let (nf_ms, nf_iqr, codes) = time5(|| sat_codes(sys, &phi))?;
-            assert_eq!(codes, scan, "normal form differs from the scan on {src}");
-            t.row(&[
-                name.to_string(),
-                src.to_string(),
-                states.to_string(),
-                codes.len().to_string(),
-                format!("{scan_ms:.3} ± {scan_iqr:.3}"),
-                format!("{nf_ms:.3} ± {nf_iqr:.3}"),
-                format!("{:.0}x", scan_ms / nf_ms),
-            ]);
-            json_rows.push(format!(
-                concat!(
-                    "    {{\"system\": {:?}, \"phi\": {:?}, \"states\": {}, \"sat\": {}, ",
-                    "\"scan_ms\": {:.3}, \"scan_iqr_ms\": {:.3}, ",
-                    "\"normal_form_ms\": {:.4}, \"normal_form_iqr_ms\": {:.4}, {}}}"
-                ),
-                name,
-                src,
-                states,
-                codes.len(),
-                scan_ms,
-                scan_iqr,
-                nf_ms,
-                nf_iqr,
-                meta.json_fields()
-            ));
-        }
-    }
-    print!("{}", t.render());
-    meta.print();
-    let json = format!(
-        "{{\n  \"benchmark\": \"sat_enum\",\n  \"unit\": \"wall_ms\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_sat_enum.json", json)?;
-    println!("wrote BENCH_sat_enum.json");
-    Ok(())
-}
-
-/// Median and interquartile range, in ms, of 5 timed runs of `f`, plus
-/// the last run's output. The quartiles follow Python's
-/// `statistics.quantiles(n=4)`.
-fn time5<T, E>(mut f: impl FnMut() -> Result<T, E>) -> Result<(f64, f64, T), E> {
-    let mut ms = Vec::new();
-    let mut out = None;
-    for _ in 0..5 {
-        let t = Instant::now();
-        out = Some(f()?);
-        ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    ms.sort_by(f64::total_cmp);
-    let iqr = (ms[3] + ms[4]) / 2.0 - (ms[0] + ms[1]) / 2.0;
-    Ok((ms[2], iqr, out.expect("five runs")))
-}
-
-/// Where a `BENCH_*.json` row was measured: the checkout's git revision,
-/// the core count and the build profile.
-struct RunMeta {
-    git_rev: String,
-    cores: usize,
-    profile: &'static str,
-}
-
-impl RunMeta {
-    fn current() -> RunMeta {
-        let git_rev = std::process::Command::new("git")
-            .args(["describe", "--always", "--dirty", "--abbrev=7"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .unwrap_or_else(|| "unknown".into());
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let profile = if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        };
-        RunMeta {
-            git_rev,
-            cores,
-            profile,
-        }
-    }
-
-    /// The JSON fields every timed row carries.
-    fn json_fields(&self) -> String {
-        format!(
-            "\"runs\": 5, \"git_rev\": {:?}, \"cores\": {}, \"profile\": {:?}",
-            self.git_rev, self.cores, self.profile
-        )
-    }
-
-    /// The footnote under a timed table.
-    fn print(&self) {
-        println!(
-            "(median ± interquartile range of 5 runs; {} cores, {})",
-            self.cores, self.profile
-        );
-    }
-}
-
-/// P5: prover workloads — the pre-Oracle sequential sweeps (one fresh
-/// compile-and-search per cylinder class / cover piece) vs the shared
-/// compiled Oracle with parallel kernels. Each timing is the median and
-/// interquartile range of 5 runs. Prints the comparison table and emits
-/// `BENCH_provers.json` for the committed record.
-fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
-    use sd_core::cover::PieceStrategy;
-    use sd_core::{solve, CompileBudget, Engine, StateSet};
-
-    println!("\n== P5: prover engines — sequential per-call vs shared Oracle ==");
-    let budget = CompileBudget::default();
-    let meta = RunMeta::current();
-
-    let mut t = Table::new(&[
-        "workload",
-        "states",
-        "units",
-        "sequential ms",
-        "oracle ms",
-        "speedup",
-        "agree",
-    ]);
-    let mut json_rows = Vec::new();
-
-    // Maximal-solution sweep: every `=A=` cylinder class must be decided.
-    // Two-object source sets keep the per-class pair searches non-trivial.
-    // Guarded-copy rows show the gain on thin operation bodies; mixing
-    // rows (wide modular-sum bodies, isolated sink, exhaustive "no" per
-    // class) show the regime the Oracle exists for — per-call row
-    // re-interpretation dominates the sequential path there.
-    let solve_configs: Vec<(String, sd_core::System)> = vec![
-        (
-            "maximal solution guarded n=7 k=3".into(),
-            sd_bench::workloads::random_system(7, 3, 6, 11)?,
-        ),
-        (
-            "maximal solution mixing n=7 k=3".into(),
-            sd_bench::workloads::mixing_system(7, 3, 4)?,
-        ),
-        (
-            "maximal solution mixing n=6 k=4".into(),
-            sd_bench::workloads::mixing_system(6, 4, 4)?,
-        ),
-    ];
-    for (name, sys) in solve_configs {
-        let u = sys.universe();
-        let mut sources = ObjSet::singleton(u.obj("x0")?);
-        sources.insert(u.obj("x1")?);
-        let sink = u.objects().last().expect("non-empty universe");
-        let ns = sys.state_count()?;
-        let n_classes = sd_core::depend::classes(&sys, &Phi::True, &sources)?.len();
-
-        // Pre-Oracle sequential path, exactly as the seed implemented it:
-        // enumerate the `=A=` classes as decoded states, then one full
-        // `depends` call — fresh compile, fresh search state — per class.
-        let (seq_ms, seq_iqr, seq_solution) = time5(|| -> sd_core::Result<StateSet> {
-            let mut sol = StateSet::new(ns);
-            for class in sd_core::depend::classes(&sys, &Phi::True, &sources)? {
-                let mut cyl = StateSet::new(ns);
-                for s in &class {
-                    cyl.insert(s.encode(u));
-                }
-                let phi_c = Phi::from_set(cyl.clone());
-                if sd_core::Query::new(phi_c.clone(), sources.clone())
-                    .beta(sink)
-                    .engine(Engine::Auto)
-                    .budget(budget)
-                    .run_on(&sys)?
-                    .into_witness()
-                    .is_none()
-                {
-                    sol.union_with(&cyl);
-                }
-            }
-            Ok(sol)
-        })?;
-        let (oracle_ms, oracle_iqr, (oracle_solution, stats)) =
-            time5(|| solve::unique_maximal_independent_solution_stats(&sys, &sources, sink))?;
-        let compiles = stats.compiles;
-        let agree = oracle_solution.sat(&sys)? == seq_solution && compiles == 1;
-
-        t.row(&[
-            name.clone(),
-            ns.to_string(),
-            format!("{n_classes} classes"),
-            format!("{seq_ms:.3} ± {seq_iqr:.3}"),
-            format!("{oracle_ms:.3} ± {oracle_iqr:.3}"),
-            format!("{:.2}x", seq_ms / oracle_ms),
-            yes(agree),
-        ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"workload\": {:?}, \"states\": {}, \"classes\": {}, ",
-                "\"sequential_ms\": {:.3}, \"sequential_iqr_ms\": {:.3}, ",
-                "\"oracle_ms\": {:.3}, \"oracle_iqr_ms\": {:.3}, ",
-                "\"speedup\": {:.2}, \"agree\": {}, {}}}"
-            ),
-            name,
-            ns,
-            n_classes,
-            seq_ms,
-            seq_iqr,
-            oracle_ms,
-            oracle_iqr,
-            seq_ms / oracle_ms,
-            agree,
-            meta.json_fields()
-        ));
-    }
-
-    // Separation-of-Variety sweep: one piece proof per cover element.
-    let sov_configs: Vec<(String, i64, sd_core::System)> = vec![
-        (
-            "separation of variety guarded n=6 k=3".into(),
-            3,
-            sd_bench::workloads::random_system(6, 3, 5, 11)?,
-        ),
-        (
-            "separation of variety mixing n=7 k=3".into(),
-            3,
-            sd_bench::workloads::mixing_system(7, 3, 4)?,
-        ),
-    ];
-    for (name, k, sys) in sov_configs {
-        let u = sys.universe();
-        let ids: Vec<_> = u.objects().collect();
-        let a = ObjSet::singleton(ids[0]);
-        let beta = *ids.last().expect("non-empty universe");
-        let ns = sys.state_count()?;
-        // Split on x1 ∧ x2 jointly so the cover has k² pieces, each
-        // A-independent, together covering Σ.
-        let (x1, x2) = (ids[1], ids[2]);
-        let cover: Vec<Phi> = (0..k)
-            .flat_map(|v1| {
-                (0..k).map(move |v2| {
-                    Phi::expr(
-                        Expr::var(x1)
-                            .eq(Expr::int(v1))
-                            .and(Expr::var(x2).eq(Expr::int(v2))),
-                    )
-                })
-            })
-            .collect();
-
-        // Pre-Oracle sequential path, as the seed implemented Thm 4-5:
-        // per-piece independence checks, the coverage check, then one
-        // fresh exact search per piece.
-        let (seq_ms, seq_iqr, seq_proved) = time5(|| -> sd_core::Result<bool> {
-            let mut proved = true;
-            'seq: {
-                for piece in &cover {
-                    if !sd_core::classify::is_independent(&sys, piece, &a)? {
-                        proved = false;
-                        break 'seq;
-                    }
-                }
-                let mut union = StateSet::new(ns);
-                for piece in &cover {
-                    union.union_with(&piece.sat(&sys)?);
-                }
-                if union.count() != ns {
-                    proved = false;
-                    break 'seq;
-                }
-                for piece in &cover {
-                    let conj = Phi::True.and(piece.clone());
-                    if sd_core::Query::new(conj.clone(), a.clone())
-                        .beta(beta)
-                        .engine(Engine::Auto)
-                        .budget(budget)
-                        .run_on(&sys)?
-                        .into_witness()
-                        .is_some()
-                    {
-                        proved = false;
-                        break 'seq;
-                    }
-                }
-            }
-            Ok(proved)
-        })?;
-        let (oracle_ms, oracle_iqr, oracle_proved) = time5(|| {
-            sd_core::cover::prove_separation_of_variety(
-                &sys,
-                &Phi::True,
-                &cover,
-                &a,
-                beta,
-                PieceStrategy::ExactBfs,
-            )
-            .map(|out| out.is_proved())
-        })?;
-        let agree = seq_proved == oracle_proved;
-
-        t.row(&[
-            name.clone(),
-            ns.to_string(),
-            format!("{} pieces", cover.len()),
-            format!("{seq_ms:.3} ± {seq_iqr:.3}"),
-            format!("{oracle_ms:.3} ± {oracle_iqr:.3}"),
-            format!("{:.2}x", seq_ms / oracle_ms),
-            yes(agree),
-        ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"workload\": {:?}, \"states\": {}, \"pieces\": {}, ",
-                "\"sequential_ms\": {:.3}, \"sequential_iqr_ms\": {:.3}, ",
-                "\"oracle_ms\": {:.3}, \"oracle_iqr_ms\": {:.3}, ",
-                "\"speedup\": {:.2}, \"agree\": {}, {}}}"
-            ),
-            name,
-            ns,
-            cover.len(),
-            seq_ms,
-            seq_iqr,
-            oracle_ms,
-            oracle_iqr,
-            seq_ms / oracle_ms,
-            agree,
-            meta.json_fields()
-        ));
-    }
-
-    print!("{}", t.render());
-    meta.print();
-    println!("expected: oracle ≥5x on the maximal-solution workloads with ≥64 classes");
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"provers\",\n  \"unit\": \"wall_ms\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_provers.json", json)?;
-    println!("wrote BENCH_provers.json");
-    Ok(())
-}
-
+/// P3: the transitive flow baseline vs exact strong dependency —
+/// precision on the paper's examples, then the cost side on random
+/// programs: Denning certification, one exact source/sink query and the
+/// full transitive flow relation. Writes `BENCH_static_vs_semantic.json`.
 fn p3_static_vs_semantic() -> Result<(), Box<dyn std::error::Error>> {
+    use sd_flow::{Classification, FiniteLattice};
+
     println!("\n== P3: static transitive baseline vs exact strong dependency ==");
     let mut t = Table::new(&[
         "system",
@@ -1566,5 +1223,576 @@ fn p3_static_vs_semantic() -> Result<(), Box<dyn std::error::Error>> {
         yes(refined.contains(&(a, b))),
         yes(baseline.contains(&(a, b))),
     );
+
+    let lat = FiniteLattice::two_point();
+    let (hi, lo) = (lat.label("H")?, lat.label("L")?);
+    let mut cls = Classification::new().with("v0", hi);
+    for i in 1..4 {
+        cls = cls.with(format!("v{i}"), lo);
+    }
+    let mut cases = Cases::new("static_vs_semantic");
+    for stmts in [4usize, 6, 8] {
+        let program = sd_bench::workloads::random_program(4, 2, stmts, 11);
+        let compiled = sd_lang::compile(&program)?;
+        let query =
+            sd_core::Query::new(compiled.at_entry(), ObjSet::singleton(compiled.var("v0")?))
+                .beta(compiled.var("v3")?);
+        let name = format!("random program {stmts} stmts");
+        cases.time(&name, "denning_certify", || {
+            sd_flow::certify(&program, &lat, &cls)
+        })?;
+        cases.time(&name, "semantic_exact", || query.run_on(&compiled.system))?;
+        cases.time(&name, "transitive_flows", || {
+            sd_flow::transitive_flows(&compiled.system)
+        })?;
+    }
+    cases.finish()
+}
+
+/// P4: quantitative measures — equivocation bits on the §7.4 mod-2^k
+/// adder (its state space grows as 2^{3k}) and Blahut–Arimoto capacity
+/// of symmetric channels. Writes `BENCH_info.json`.
+fn p4_info() -> Result<(), Box<dyn std::error::Error>> {
+    println!("\n== P4: quantitative measures — bits and channel capacity ==");
+    let mut cases = Cases::new("info");
+    for k in [3u32, 5, 6] {
+        let sys = examples::mod_adder_system(k)?;
+        let u = sys.universe();
+        let a1 = ObjSet::singleton(u.obj("a1")?);
+        let b = u.obj("beta")?;
+        let d = Dist::uniform(&sys, &Phi::True)?;
+        let h = History::single(OpId(0));
+        let name = format!("mod_adder k={k} ({} states)", sys.state_count()?);
+        cases.time(&name, "bits_equivocation", || {
+            sd_info::bits_equivocation(&sys, &d, &a1, b, &h)
+        })?;
+    }
+    for m in [2usize, 4, 8, 16] {
+        let ch = sd_info::Channel::symmetric(m, 0.1)?;
+        let name = format!("symmetric channel m={m} ε=0.1");
+        cases.time(&name, "blahut_arimoto", || ch.capacity(1e-9, 10_000))?;
+    }
+    cases.finish()
+}
+
+/// P5: prover workloads — the pre-Oracle sequential sweeps (one fresh
+/// compile-and-search per cylinder class / cover piece) vs the shared
+/// compiled Oracle with parallel kernels. Writes `BENCH_provers.json`.
+fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
+    use sd_core::cover::PieceStrategy;
+    use sd_core::{solve, CompileBudget, Engine, StateSet};
+
+    println!("\n== P5: prover engines — sequential per-call vs shared Oracle ==");
+    let budget = CompileBudget::default();
+    let mut ledger = Ledger::new("provers");
+
+    let mut t = Table::new(&[
+        "workload",
+        "states",
+        "units",
+        "sequential ms",
+        "oracle ms",
+        "speedup",
+        "agree",
+    ]);
+
+    // Maximal-solution sweep: every `=A=` cylinder class must be decided.
+    // Two-object source sets keep the per-class pair searches non-trivial.
+    // Guarded-copy rows show the gain on thin operation bodies; mixing
+    // rows (wide modular-sum bodies, isolated sink, exhaustive "no" per
+    // class) show the regime the Oracle exists for — per-call row
+    // re-interpretation dominates the sequential path there.
+    let solve_configs: Vec<(String, sd_core::System)> = vec![
+        (
+            "maximal solution guarded n=7 k=3".into(),
+            sd_bench::workloads::random_system(7, 3, 6, 11)?,
+        ),
+        (
+            "maximal solution mixing n=7 k=3".into(),
+            sd_bench::workloads::mixing_system(7, 3, 4)?,
+        ),
+        (
+            "maximal solution mixing n=6 k=4".into(),
+            sd_bench::workloads::mixing_system(6, 4, 4)?,
+        ),
+    ];
+    for (name, sys) in solve_configs {
+        let u = sys.universe();
+        let mut sources = ObjSet::singleton(u.obj("x0")?);
+        sources.insert(u.obj("x1")?);
+        let sink = u.objects().last().expect("non-empty universe");
+        let ns = sys.state_count()?;
+        let n_classes = sd_core::depend::classes(&sys, &Phi::True, &sources)?.len();
+
+        // Pre-Oracle sequential path, exactly as the seed implemented it:
+        // enumerate the `=A=` classes as decoded states, then one full
+        // `depends` call — fresh compile, fresh search state — per class.
+        let (seq, seq_solution) = time5(|| -> sd_core::Result<StateSet> {
+            let mut sol = StateSet::new(ns);
+            for class in sd_core::depend::classes(&sys, &Phi::True, &sources)? {
+                let mut cyl = StateSet::new(ns);
+                for s in &class {
+                    cyl.insert(s.encode(u));
+                }
+                let phi_c = Phi::from_set(cyl.clone());
+                if sd_core::Query::new(phi_c.clone(), sources.clone())
+                    .beta(sink)
+                    .engine(Engine::Auto)
+                    .budget(budget)
+                    .run_on(&sys)?
+                    .into_witness()
+                    .is_none()
+                {
+                    sol.union_with(&cyl);
+                }
+            }
+            Ok(sol)
+        })?;
+        let (oracle, (oracle_solution, stats)) =
+            time5(|| solve::unique_maximal_independent_solution_stats(&sys, &sources, sink))?;
+        let compiles = stats.compiles;
+        let agree = oracle_solution.sat(&sys)? == seq_solution && compiles == 1;
+
+        t.row(&[
+            name.clone(),
+            ns.to_string(),
+            format!("{n_classes} classes"),
+            seq.to_string(),
+            oracle.to_string(),
+            format!("{:.2}x", seq.median / oracle.median),
+            yes(agree),
+        ]);
+        ledger.row(&[("sequential", seq), ("oracle", oracle)], |j| {
+            j.str_field("workload", &name)
+                .u64_field("states", ns)
+                .u64_field("classes", n_classes as u64)
+                .bool_field("agree", agree);
+        });
+    }
+
+    // Separation-of-Variety sweep: one piece proof per cover element.
+    let sov_configs: Vec<(String, i64, sd_core::System)> = vec![
+        (
+            "separation of variety guarded n=6 k=3".into(),
+            3,
+            sd_bench::workloads::random_system(6, 3, 5, 11)?,
+        ),
+        (
+            "separation of variety mixing n=7 k=3".into(),
+            3,
+            sd_bench::workloads::mixing_system(7, 3, 4)?,
+        ),
+    ];
+    for (name, k, sys) in sov_configs {
+        let u = sys.universe();
+        let ids: Vec<_> = u.objects().collect();
+        let a = ObjSet::singleton(ids[0]);
+        let beta = *ids.last().expect("non-empty universe");
+        let ns = sys.state_count()?;
+        // Split on x1 ∧ x2 jointly so the cover has k² pieces, each
+        // A-independent, together covering Σ.
+        let (x1, x2) = (ids[1], ids[2]);
+        let cover: Vec<Phi> = (0..k)
+            .flat_map(|v1| {
+                (0..k).map(move |v2| {
+                    Phi::expr(
+                        Expr::var(x1)
+                            .eq(Expr::int(v1))
+                            .and(Expr::var(x2).eq(Expr::int(v2))),
+                    )
+                })
+            })
+            .collect();
+
+        // Pre-Oracle sequential path, as the seed implemented Thm 4-5:
+        // per-piece independence checks, the coverage check, then one
+        // fresh exact search per piece.
+        let (seq, seq_proved) = time5(|| -> sd_core::Result<bool> {
+            let mut proved = true;
+            'seq: {
+                for piece in &cover {
+                    if !sd_core::classify::is_independent(&sys, piece, &a)? {
+                        proved = false;
+                        break 'seq;
+                    }
+                }
+                let mut union = StateSet::new(ns);
+                for piece in &cover {
+                    union.union_with(&piece.sat(&sys)?);
+                }
+                if union.count() != ns {
+                    proved = false;
+                    break 'seq;
+                }
+                for piece in &cover {
+                    let conj = Phi::True.and(piece.clone());
+                    if sd_core::Query::new(conj.clone(), a.clone())
+                        .beta(beta)
+                        .engine(Engine::Auto)
+                        .budget(budget)
+                        .run_on(&sys)?
+                        .into_witness()
+                        .is_some()
+                    {
+                        proved = false;
+                        break 'seq;
+                    }
+                }
+            }
+            Ok(proved)
+        })?;
+        let (oracle, oracle_proved) = time5(|| {
+            sd_core::cover::prove_separation_of_variety(
+                &sys,
+                &Phi::True,
+                &cover,
+                &a,
+                beta,
+                PieceStrategy::ExactBfs,
+            )
+            .map(|out| out.is_proved())
+        })?;
+        let agree = seq_proved == oracle_proved;
+
+        t.row(&[
+            name.clone(),
+            ns.to_string(),
+            format!("{} pieces", cover.len()),
+            seq.to_string(),
+            oracle.to_string(),
+            format!("{:.2}x", seq.median / oracle.median),
+            yes(agree),
+        ]);
+        ledger.row(&[("sequential", seq), ("oracle", oracle)], |j| {
+            j.str_field("workload", &name)
+                .u64_field("states", ns)
+                .u64_field("pieces", cover.len() as u64)
+                .bool_field("agree", agree);
+        });
+    }
+
+    print!("{}", t.render());
+    println!("expected: oracle ≥5x on the maximal-solution workloads with ≥64 classes");
+    ledger.write()?;
     Ok(())
+}
+
+/// The `sdbench` cold_search program above the dense-table budget
+/// (3,670,016 states), copied from `sdbench/src/gen.rs`.
+const BIG_PROGRAM: &str = "var x: int 0..15;
+var y: int 0..15;
+var z: int 0..15;
+var w: int 0..15;
+var f: bool;
+var g: bool;
+var h: bool;
+if f { y := x; }
+if x < 8 { z := y; } else { z := w; }
+if g { w := z; }
+y := (y + w) % 16;
+if z == 3 { f := true; }
+if h { g := f; }
+";
+
+/// P6: Sat(φ) enumeration, the reference scan of every state
+/// (`depend::sat_codes_scan`) against the per-object normal form
+/// (`depend::sat_codes`), on the cold_search big-program φ, the
+/// mod_adder φ families and one residual-heavy φ. The two enumerations
+/// are checked to be identical. Writes `BENCH_sat_enum.json`.
+fn p6_sat_enum() -> Result<(), Box<dyn std::error::Error>> {
+    use sd_core::depend::{sat_codes, sat_codes_scan};
+
+    println!("\n== P6: Sat(φ) enumeration — full scan vs per-object normal form ==");
+    let big = sd_lang::compile(&sd_lang::parse(BIG_PROGRAM)?)?.system;
+    let systems: Vec<(&str, sd_core::System, Vec<&str>)> = vec![
+        (
+            "cold_search big program",
+            big,
+            vec![
+                "pc == 1 && x == 3 && f",
+                "pc == 1 && z == 5 && !h",
+                "pc == 1 && x < y && f",
+            ],
+        ),
+        (
+            "mod_adder(5)",
+            examples::mod_adder_system(5)?,
+            vec![
+                "a2 == 7 && beta < 12",
+                "a1 < 9 && a2 == 4",
+                "beta == 3 && a1 < 10",
+            ],
+        ),
+        (
+            "mod_adder(7)",
+            examples::mod_adder_system(7)?,
+            vec!["a1 == 3 && a2 < 4", "a2 == 100 && beta < 64"],
+        ),
+    ];
+    let mut ledger = Ledger::new("sat_enum");
+    let mut t = Table::new(&[
+        "system",
+        "φ",
+        "|Σ|",
+        "|Sat|",
+        "scan ms",
+        "normal form ms",
+        "speedup",
+    ]);
+    for (name, sys, phis) in &systems {
+        let states = sys.state_count()?;
+        for src in phis {
+            let phi = sd_lang::lower_phi(sys.universe(), src)?;
+            let (scan, scanned) = time5(|| sat_codes_scan(sys, &phi))?;
+            let (nf, codes) = time5(|| sat_codes(sys, &phi))?;
+            assert_eq!(codes, scanned, "normal form differs from the scan on {src}");
+            t.row(&[
+                name.to_string(),
+                src.to_string(),
+                states.to_string(),
+                codes.len().to_string(),
+                scan.to_string(),
+                nf.to_string(),
+                format!("{:.0}x", scan.median / nf.median),
+            ]);
+            ledger.row(&[("scan", scan), ("normal_form", nf)], |j| {
+                j.str_field("system", name)
+                    .str_field("phi", src)
+                    .u64_field("states", states)
+                    .u64_field("sat", codes.len() as u64);
+            });
+        }
+    }
+    print!("{}", t.render());
+    ledger.write()?;
+    Ok(())
+}
+
+/// Runs per timed case; the quartiles in [`time5`] assume 5.
+const RUNS: usize = 5;
+
+/// Median and interquartile range, in ms, of one case's [`RUNS`] runs.
+#[derive(Clone, Copy)]
+struct Timing {
+    median: f64,
+    iqr: f64,
+}
+
+impl std::fmt::Display for Timing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} ± {}", ms(self.median), ms(self.iqr))
+    }
+}
+
+/// A duration in ms: 3 decimals, or 4 significant digits below 1 ms, so
+/// that no sub-millisecond time reads `0.000`.
+fn ms(x: f64) -> String {
+    let decimals = if x > 0.0 {
+        (3 - x.log10().floor() as i32).clamp(3, 9) as usize
+    } else {
+        3
+    };
+    format!("{x:.decimals$}")
+}
+
+/// The harness's one timer: [`RUNS`] timed runs of `f`, their median
+/// and interquartile range, plus the last run's output. The quartiles
+/// follow Python's `statistics.quantiles(n=4)`.
+fn time5<T, E>(mut f: impl FnMut() -> Result<T, E>) -> Result<(Timing, T), E> {
+    let mut ms = Vec::with_capacity(RUNS);
+    let mut out = None;
+    for _ in 0..RUNS {
+        let t = Instant::now();
+        out = Some(std::hint::black_box(f()?));
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    ms.sort_by(f64::total_cmp);
+    let timing = Timing {
+        median: ms[2],
+        iqr: (ms[3] + ms[4]) / 2.0 - (ms[0] + ms[1]) / 2.0,
+    };
+    Ok((timing, out.expect("at least one run")))
+}
+
+/// Where a `BENCH_*.json` row was measured: the checkout's git revision,
+/// the core count and the build profile.
+struct RunMeta {
+    git_rev: String,
+    cores: usize,
+    profile: &'static str,
+}
+
+impl RunMeta {
+    fn current() -> RunMeta {
+        let git_rev = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=7"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        RunMeta {
+            git_rev,
+            cores,
+            profile,
+        }
+    }
+}
+
+/// One `BENCH_<name>.json` file — the only writer of those files. Each
+/// row is one JSON object: the case's own fields, then each timing as
+/// `<key>_ms` (median) and `<key>_iqr_ms`, then `runs`, `git_rev`,
+/// `cores` and `profile`.
+struct Ledger {
+    name: &'static str,
+    meta: RunMeta,
+    rows: Vec<String>,
+}
+
+impl Ledger {
+    fn new(name: &'static str) -> Ledger {
+        Ledger {
+            name,
+            meta: RunMeta::current(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends one row: `fields` pushes the case's own fields.
+    fn row(&mut self, times: &[(&str, Timing)], fields: impl FnOnce(&mut JsonBuf)) {
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        fields(&mut j);
+        for (key, t) in times {
+            j.raw_field(&format!("{key}_ms"), &ms(t.median))
+                .raw_field(&format!("{key}_iqr_ms"), &ms(t.iqr));
+        }
+        j.u64_field("runs", RUNS as u64)
+            .str_field("git_rev", &self.meta.git_rev)
+            .u64_field("cores", self.meta.cores as u64)
+            .str_field("profile", self.meta.profile)
+            .end_obj();
+        self.rows.push(j.finish());
+    }
+
+    /// The file's text: one row per line.
+    fn render(&self) -> String {
+        format!(
+            "{{\"benchmark\":{},\"unit\":\"ms\",\"rows\":[\n{}\n]}}\n",
+            sd_core::json::quote(self.name),
+            self.rows.join(",\n")
+        )
+    }
+
+    /// Writes `BENCH_<name>.json` to the working directory and prints
+    /// the footnote of the section's table.
+    fn write(&self) -> std::io::Result<()> {
+        let path = format!("BENCH_{}.json", self.name);
+        std::fs::write(&path, self.render())?;
+        println!(
+            "(median ± interquartile range of {RUNS} runs; {} cores, {})\nwrote {path}",
+            self.meta.cores, self.meta.profile
+        );
+        Ok(())
+    }
+}
+
+/// A section whose cases each time one method on one workload: prints
+/// them as one `workload | method | ms` table and records each in the
+/// section's [`Ledger`].
+struct Cases {
+    table: Table,
+    ledger: Ledger,
+}
+
+impl Cases {
+    fn new(name: &'static str) -> Cases {
+        Cases {
+            table: Table::new(&["workload", "method", "ms"]),
+            ledger: Ledger::new(name),
+        }
+    }
+
+    /// Times `f` with [`time5`], records the row and returns the last
+    /// run's output.
+    fn time<T, E: Into<Box<dyn std::error::Error>>>(
+        &mut self,
+        workload: &str,
+        method: &str,
+        f: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, Box<dyn std::error::Error>> {
+        let (time, out) = time5(f).map_err(Into::into)?;
+        self.table
+            .row(&[workload.into(), method.into(), time.to_string()]);
+        self.ledger.row(&[("wall", time)], |j| {
+            j.str_field("workload", workload)
+                .str_field("method", method);
+        });
+        Ok(out)
+    }
+
+    fn finish(self) -> Result<(), Box<dyn std::error::Error>> {
+        print!("{}", self.table.render());
+        self.ledger.write()?;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ledger_rows_are_escaped_json_with_run_metadata() {
+        let mut ledger = Ledger {
+            name: "test",
+            meta: RunMeta {
+                git_rev: "abc1234-dirty".into(),
+                cores: 2,
+                profile: "release",
+            },
+            rows: Vec::new(),
+        };
+        let fast = Timing {
+            median: 0.000_412_3,
+            iqr: 0.000_05,
+        };
+        let slow = Timing {
+            median: 1234.5,
+            iqr: 12.0,
+        };
+        ledger.row(&[("wall", fast)], |j| {
+            j.str_field("workload", "a\"b\\c\u{1}");
+        });
+        ledger.row(&[("scan", slow), ("normal_form", fast)], |j| {
+            j.u64_field("states", 7);
+        });
+        let text = ledger.render();
+        assert!(
+            text.contains(r#""workload":"a\"b\\c\u0001""#),
+            "name not JSON-escaped: {text}"
+        );
+        let rows: Vec<&str> = text.lines().filter(|l| l.starts_with('{')).collect();
+        assert_eq!(rows.len(), 3, "header plus one line per row: {text}");
+        for row in &rows[1..] {
+            for field in [
+                r#""runs":5"#,
+                r#""git_rev":"abc1234-dirty""#,
+                r#""cores":2"#,
+                r#""profile":"release""#,
+            ] {
+                assert!(row.contains(field), "{field} missing from {row}");
+            }
+        }
+        assert!(rows[1].contains(r#""wall_ms":0.0004123,"wall_iqr_ms":0.00005000"#));
+        assert!(rows[2].contains(r#""scan_ms":1234.500,"scan_iqr_ms":12.000"#));
+        assert!(!text.contains("0.000,") && !text.contains("0.000 "));
+        assert_eq!(fast.to_string(), "0.0004123 ± 0.00005000");
+    }
 }

@@ -2,9 +2,10 @@
 //! reproduction.
 //!
 //! - [`table`]: plain-text table rendering used by the `experiments`
-//!   binary (which regenerates every claim in EXPERIMENTS.md);
+//!   binary (which regenerates every claim in EXPERIMENTS.md and writes
+//!   every `BENCH_*.json`);
 //! - [`workloads`]: parameterized system and program families for the
-//!   Criterion benches in `benches/`.
+//!   `experiments` performance sections.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

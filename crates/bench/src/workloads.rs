@@ -1,4 +1,5 @@
-//! Parameterized workload generators for benchmarks and scaling studies.
+//! Parameterized workload generators for the `experiments` performance
+//! sections and scaling studies.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,25 +76,6 @@ pub fn mixing_system(n: usize, k: i64, width: usize) -> Result<System> {
         sweep.push(Cmd::assign(ids[i], body.modulo(Expr::int(k))));
     }
     Ok(System::new(u, vec![Op::from_cmd("mix", Cmd::Seq(sweep))]))
-}
-
-/// A chain-copy system: `x0 → x1 → … → x(n−1)`, one guarded copy per
-/// hop. The exact checker must walk the whole chain; Strong Dependency
-/// Induction discharges it per operation.
-pub fn chain_system(n: usize, k: i64) -> Result<System> {
-    let objects = (0..n)
-        .map(|i| Ok((format!("x{i}"), Domain::int_range(0, k - 1)?)))
-        .collect::<Result<Vec<_>>>()?;
-    let u = Universe::new(objects)?;
-    let ids: Vec<_> = u.objects().collect();
-    let mut ops = Vec::new();
-    for i in 0..n.saturating_sub(1) {
-        ops.push(Op::from_cmd(
-            format!("hop{i}"),
-            Cmd::assign(ids[i + 1], Expr::var(ids[i])),
-        ));
-    }
-    Ok(System::new(u, ops))
 }
 
 /// The benchmark member of the §4.3 pointer-chain family: the same
@@ -288,31 +270,6 @@ mod tests {
             .run_on(&sys)
             .unwrap()
             .holds());
-    }
-
-    #[test]
-    fn chain_flows_end_to_end() {
-        let sys = chain_system(4, 2).unwrap();
-        sys.validate().unwrap();
-        let u = sys.universe();
-        let first = u.obj("x0").unwrap();
-        let last = u.obj("x3").unwrap();
-        assert!(sd_core::Query::new(
-            sd_core::Phi::True,
-            sd_core::ObjSet::singleton(first).clone()
-        )
-        .beta(last)
-        .run_on(&sys)
-        .unwrap()
-        .holds());
-        // No flow backwards.
-        assert!(
-            !sd_core::Query::new(sd_core::Phi::True, sd_core::ObjSet::singleton(last).clone())
-                .beta(first)
-                .run_on(&sys)
-                .unwrap()
-                .holds()
-        );
     }
 
     #[test]

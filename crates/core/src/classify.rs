@@ -29,7 +29,7 @@
 
 use crate::constraint::Phi;
 use crate::error::Result;
-use crate::fastmap::{U64Set, U64U64Map};
+use crate::fastmap::{U64Map, U64Set};
 use crate::history::OpId;
 use crate::oracle::Oracle;
 use crate::state::State;
@@ -53,8 +53,8 @@ pub fn independence_witness(sys: &System, phi: &Phi, a: &ObjSet) -> Result<Optio
     let n = sys.state_count()?;
     let sat = phi.sat(sys)?;
     let dims = u.dims();
-    let mut first_true = U64U64Map::new();
-    let mut first_false = U64U64Map::new();
+    let mut first_true = U64Map::new();
+    let mut first_false = U64Map::new();
     for code in 0..n {
         let key = code - proj_key(&dims, a, code);
         if sat.contains(code) {
@@ -79,7 +79,7 @@ pub fn is_strict(sys: &System, phi: &Phi, a: &ObjSet) -> Result<bool> {
     let dims = sys.universe().dims();
     // Per `σ.A` projection class, a 2-bit mask: bit 0 = saw a satisfying
     // state, bit 1 = saw a violating one. Both ⇒ not strict.
-    let mut seen = U64U64Map::new();
+    let mut seen = U64Map::new();
     for code in 0..n {
         let key = proj_key(&dims, a, code);
         let bit = if sat.contains(code) { 1 } else { 2 };

@@ -199,10 +199,10 @@ impl Rows<'_> {
                 Row::Dense(&table[code as usize * cs.num_ops..][..cs.num_ops])
             }
             Rows::Sparse(cs, memo) => {
-                let off = memo
-                    .index
-                    .get(code)
-                    .expect("sparse row materialised before use");
+                let off =
+                    memo.index
+                        .get(code)
+                        .expect("sparse row materialised before use") as usize;
                 Row::Sparse(&memo.rows[off..off + cs.num_ops])
             }
             Rows::Interpreted(_) => unreachable!("interpreted views have no successor rows"),
@@ -373,7 +373,7 @@ impl<'s> CompiledSystem<'s> {
             let mut memo = store.write().expect("row store lock");
             for (i, &code) in missing.iter().enumerate() {
                 if memo.index.get(code).is_none() {
-                    let offset = memo.rows.len();
+                    let offset = memo.rows.len() as u64;
                     memo.index.insert(code, offset);
                     memo.rows.extend_from_slice(&rows[i * n..][..n]);
                     materialized += 1;

@@ -345,9 +345,9 @@ impl SatPartition {
                 key -= stride * ((code / stride) % dom);
             }
             match index.get(key) {
-                Some(i) => classes[i].push(code),
+                Some(i) => classes[i as usize].push(code),
                 None => {
-                    index.insert(key, classes.len());
+                    index.insert(key, classes.len() as u64);
                     classes.push(vec![code]);
                 }
             }

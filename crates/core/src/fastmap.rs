@@ -110,12 +110,16 @@ impl U64Set {
     }
 }
 
-/// A map from `u64` keys to `usize` values; every key must be strictly
-/// below `u64::MAX`.
+/// A map from `u64` keys to `u64` values; every key must be strictly
+/// below `u64::MAX` (values are unrestricted).
+///
+/// Sparse row indexes map state codes to arena offsets; the prover
+/// kernels map packed projection keys (a state code with some
+/// coordinates zeroed) to packed outcomes.
 #[derive(Debug, Default)]
 pub struct U64Map {
     keys: Vec<u64>,
-    vals: Vec<usize>,
+    vals: Vec<u64>,
     len: usize,
 }
 
@@ -123,100 +127,6 @@ impl U64Map {
     /// An empty map.
     pub fn new() -> U64Map {
         U64Map::default()
-    }
-
-    /// Number of entries stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The value stored under `key`, if any.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<usize> {
-        debug_assert_ne!(key, EMPTY);
-        if self.keys.is_empty() {
-            return None;
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = mix(key) as usize & mask;
-        loop {
-            let slot = self.keys[i];
-            if slot == key {
-                return Some(self.vals[i]);
-            }
-            if slot == EMPTY {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts `key → val`, replacing and returning any previous value.
-    #[inline]
-    pub fn insert(&mut self, key: u64, val: usize) -> Option<usize> {
-        debug_assert_ne!(key, EMPTY);
-        if self.len * 4 >= self.keys.len() * 3 {
-            self.grow();
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = mix(key) as usize & mask;
-        loop {
-            let slot = self.keys[i];
-            if slot == key {
-                return Some(std::mem::replace(&mut self.vals[i], val));
-            }
-            if slot == EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_len = (self.keys.len() * 2).max(INITIAL_SLOTS);
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_len]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![0; new_len]);
-        let mask = new_len - 1;
-        for (key, val) in old_keys.into_iter().zip(old_vals) {
-            if key == EMPTY {
-                continue;
-            }
-            let mut i = mix(key) as usize & mask;
-            while self.keys[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.keys[i] = key;
-            self.vals[i] = val;
-        }
-    }
-}
-
-/// A map from `u64` keys to `u64` values; every key must be strictly
-/// below `u64::MAX` (values are unrestricted).
-///
-/// Used by the prover kernels to map packed projection keys (a state
-/// code with some coordinates zeroed) to packed outcomes — the
-/// open-addressed replacement for `HashMap<Vec<u32>, Vec<u32>>` on the
-/// induction/classification hot paths.
-#[derive(Debug, Default)]
-pub struct U64U64Map {
-    keys: Vec<u64>,
-    vals: Vec<u64>,
-    len: usize,
-}
-
-impl U64U64Map {
-    /// An empty map.
-    pub fn new() -> U64U64Map {
-        U64U64Map::default()
     }
 
     /// Number of entries stored.
@@ -271,19 +181,6 @@ impl U64U64Map {
                 return None;
             }
             i = (i + 1) & mask;
-        }
-    }
-
-    /// The value under `key`, inserting `val` first when absent. Returns
-    /// the stored (pre-existing or just-inserted) value.
-    #[inline]
-    pub fn get_or_insert(&mut self, key: u64, val: u64) -> u64 {
-        match self.get(key) {
-            Some(v) => v,
-            None => {
-                self.insert(key, val);
-                val
-            }
         }
     }
 
@@ -411,19 +308,6 @@ mod tests {
         let mut ours = U64Map::new();
         let mut std_map = HashMap::new();
         for (i, key) in stream(2, 4000).into_iter().enumerate() {
-            assert_eq!(ours.insert(key, i), std_map.insert(key, i));
-        }
-        assert_eq!(ours.len(), std_map.len());
-        for key in 0..1000 {
-            assert_eq!(ours.get(key), std_map.get(&key).copied());
-        }
-    }
-
-    #[test]
-    fn u64_map_matches_std_hashmap() {
-        let mut ours = U64U64Map::new();
-        let mut std_map = HashMap::new();
-        for (i, key) in stream(3, 4000).into_iter().enumerate() {
             let val = mix(i as u64);
             assert_eq!(ours.insert(key, val), std_map.insert(key, val));
         }
@@ -434,21 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn u64_map_get_or_insert() {
-        let mut m = U64U64Map::new();
-        assert_eq!(m.get_or_insert(5, 10), 10);
-        assert_eq!(m.get_or_insert(5, 99), 10);
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
     fn empty_containers_answer_lookups() {
         assert!(!U64Set::new().contains(7));
         assert!(U64Set::new().is_empty());
         assert_eq!(U64Map::new().get(7), None);
         assert!(U64Map::new().is_empty());
-        assert_eq!(U64U64Map::new().get(7), None);
-        assert!(U64U64Map::new().is_empty());
     }
 
     #[test]
@@ -460,10 +334,7 @@ mod tests {
         assert!(s.insert(big));
         assert!(s.contains(big));
         let mut m = U64Map::new();
-        assert_eq!(m.insert(big, 9), None);
-        assert_eq!(m.get(big), Some(9));
-        let mut m2 = U64U64Map::new();
-        assert_eq!(m2.insert(big, u64::MAX), None);
-        assert_eq!(m2.get(big), Some(u64::MAX));
+        assert_eq!(m.insert(big, u64::MAX), None);
+        assert_eq!(m.get(big), Some(u64::MAX));
     }
 }

@@ -31,7 +31,7 @@ use crate::compiled::par_map_chunks;
 use crate::constraint::{Phi, StateSet};
 use crate::depend::SatPartition;
 use crate::error::Result;
-use crate::fastmap::U64U64Map;
+use crate::fastmap::U64Map;
 use crate::history::OpId;
 use crate::oracle::Oracle;
 use crate::state::State;
@@ -48,7 +48,7 @@ fn confines_kernel(
     codes: &[u64],
     succ: &mut dyn FnMut(u64) -> Result<u64>,
 ) -> Result<bool> {
-    let mut groups = U64U64Map::new();
+    let mut groups = U64Map::new();
     for &code in codes {
         let next = succ(code)?;
         let key = code - proj_key(dims, a, code);
@@ -79,7 +79,7 @@ fn no_new_diff_kernel(
 ) -> Result<bool> {
     let (stride, dom) = dims[beta.index()];
     if dom >= u32::MAX as u64 {
-        let mut seen = U64U64Map::new();
+        let mut seen = U64Map::new();
         for &code in codes {
             let next = succ(code)?;
             let before = (code / stride) % dom;

@@ -36,7 +36,8 @@
 //! reference engine and [`OracleStats::compiles`] stays 0. Within the
 //! compiled regime, `Auto` picks dense tables when they fit the
 //! [`CompileBudget`] and lazy sparse rows otherwise — or when the φ the
-//! Oracle was built for ([`Oracle::for_phi`]) has a thin satisfying set.
+//! Oracle was built for (one-shot [`crate::query::Query::run_on`] runs
+//! build theirs for the query's φ) has a thin satisfying set.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -186,17 +187,7 @@ impl<'s> Oracle<'s> {
     /// on its thinness exactly like the one-shot search paths. This is
     /// what one-shot [`crate::query::Query::run_on`] runs construct per
     /// call.
-    pub fn for_phi(
-        sys: &'s System,
-        phi: &Phi,
-        engine: Engine,
-        budget: &CompileBudget,
-    ) -> Result<Oracle<'s>> {
-        Oracle::for_phi_sink(sys, phi, engine, budget, None)
-    }
-
-    /// [`Oracle::for_phi`] with a telemetry sink attached.
-    pub(crate) fn for_phi_sink(
+    pub(crate) fn for_phi(
         sys: &'s System,
         phi: &Phi,
         engine: Engine,

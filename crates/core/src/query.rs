@@ -343,8 +343,7 @@ impl Query {
         if let Some(out) = self.trivial_outcome() {
             return Ok(out);
         }
-        let oracle =
-            Oracle::for_phi_sink(sys, &self.phi, self.engine, &self.budget, self.sink.clone())?;
+        let oracle = Oracle::for_phi(sys, &self.phi, self.engine, &self.budget, self.sink.clone())?;
         self.run_with(&oracle, true)
     }
 
