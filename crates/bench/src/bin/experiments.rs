@@ -4,7 +4,7 @@
 //! reproduces one worked example, theorem or claim from the paper. Run
 //! with `cargo run -p sd-bench --bin experiments --release`.
 //!
-//! Arguments `p1` … `p6` run only those performance sections. Each one
+//! Arguments `p1` … `p7` run only those performance sections. Each one
 //! times its cases with [`time5`] and writes one `BENCH_*.json` through
 //! [`Ledger`]:
 //!
@@ -13,14 +13,16 @@
 //! - `p3`: static certification vs semantics (`BENCH_static_vs_semantic.json`);
 //! - `p4`: quantitative measures (`BENCH_info.json`);
 //! - `p5`: prover sweeps (`BENCH_provers.json`);
-//! - `p6`: Sat(φ) enumeration (`BENCH_sat_enum.json`).
+//! - `p6`: Sat(φ) enumeration (`BENCH_sat_enum.json`);
+//! - `p7`: φ = tt (α, β) sweeps on one shared Oracle, with the verdicts
+//!   the static cone of influence settled (`BENCH_cone.json`).
 //!
 //! `--telemetry OUT.jsonl` instead runs a short instrumented workload
 //! (cold + warm `sinks_matrix` sweeps and a witness query against a
 //! shared Oracle) and writes every [`sd_core::QueryEvent`] as one JSON
 //! object per line — the raw material for cache-attribution analysis.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sd_bench::Table;
 use sd_core::certificate::ProofOutcome;
@@ -30,13 +32,14 @@ use sd_info::Dist;
 type Section = fn() -> Result<(), Box<dyn std::error::Error>>;
 
 /// The performance sections, by the argument that selects each.
-const PERF: [(&str, Section); 6] = [
+const PERF: [(&str, Section); 7] = [
     ("p1", p1_induction_vs_exact),
     ("p2", p2_pair_bfs),
     ("p3", p3_static_vs_semantic),
     ("p4", p4_info),
     ("p5", p5_provers),
     ("p6", p6_sat_enum),
+    ("p7", p7_cone),
 ];
 
 fn yes(b: bool) -> String {
@@ -64,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 PERF.iter()
                     .find(|(name, _)| name == arg)
                     .map(|&(_, run)| run)
-                    .ok_or_else(|| format!("unknown section {arg:?} (try p1 … p6, --telemetry)"))
+                    .ok_or_else(|| format!("unknown section {arg:?} (try p1 … p7, --telemetry)"))
             })
             .collect::<Result<Vec<_>, _>>()?;
         return sections.iter().try_for_each(|run| run());
@@ -1568,14 +1571,129 @@ fn p6_sat_enum() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// The three 4-variable `sdbench` cold_search programs, as
+/// `sdbench/src/gen.rs` generates them (`program(Rng::new(0xC01D + i),
+/// 4, 7, 5)` for i = 0, 1, 2).
+const COLD_PROGRAMS: [&str; 3] = [
+    "var v0: int 0..7;
+var v1: int 0..7;
+var v2: int 0..7;
+var v3: int 0..7;
+var b0: bool;
+v1 := v3;
+v3 := v0;
+if b0 { v0 := v2; } else { v0 := 2; }
+v2 := v3;
+if b0 { v0 := v1; } else { v0 := 2; }
+",
+    "var v0: int 0..7;
+var v1: int 0..7;
+var v2: int 0..7;
+var v3: int 0..7;
+var b0: bool;
+v3 := (v0 + v2) % 8;
+if v2 < 7 { v2 := v0; }
+if b0 { v0 := v3; } else { v0 := 1; }
+v0 := (v2 + v3) % 8;
+v1 := (v3 + v2) % 8;
+",
+    "var v0: int 0..7;
+var v1: int 0..7;
+var v2: int 0..7;
+var v3: int 0..7;
+var b0: bool;
+if v0 < 4 { v0 := v1; }
+if v3 < 0 { v1 := v2; }
+if b0 { v1 := v3; } else { v1 := 5; }
+b0 := v1 < 2;
+if v2 < 5 { v0 := v2; }
+",
+];
+
+/// P7: the static cone of influence. On each system, one shared Oracle
+/// answers every singleton (α, β) query under φ = tt; the section times
+/// the Oracle's construction (which computes the cones) and the whole
+/// sweep, and counts the flows and the no-flow verdicts the cone settled
+/// without searching (`engine == "cone"`). The sweep uses only the
+/// public [`sd_core::Query`] API, so the same code times a tree without
+/// the cone. Writes `BENCH_cone.json`.
+fn p7_cone() -> Result<(), Box<dyn std::error::Error>> {
+    use sd_core::{Oracle, Query};
+
+    println!("\n== P7: φ = tt (α, β) sweeps — no-flow verdicts settled by β's cone ==");
+    let mut systems: Vec<(String, sd_core::System)> = vec![
+        ("mod_adder(5)".into(), examples::mod_adder_system(5)?),
+        ("flag_copy(8)".into(), examples::flag_copy_system(8)?),
+        ("guarded_copy(8)".into(), examples::guarded_copy_system(8)?),
+        (
+            "pointer_chain(4,2)".into(),
+            examples::pointer_chain_system(4, 2)?,
+        ),
+    ];
+    for (i, src) in COLD_PROGRAMS.iter().enumerate() {
+        let sys = sd_lang::compile(&sd_lang::parse(src)?)?.system;
+        systems.push((format!("cold_search program {i}"), sys));
+    }
+    let mut ledger = Ledger::new("cone");
+    let mut t = Table::new(&[
+        "system", "|Σ|", "queries", "flows", "cone", "build ms", "sweep ms",
+    ]);
+    for (name, sys) in &systems {
+        let u = sys.universe();
+        let queries: Vec<Query> = u
+            .objects()
+            .flat_map(|a| u.objects().map(move |b| (a, b)))
+            .map(|(a, b)| Query::new(Phi::True, ObjSet::singleton(a)).beta(b))
+            .collect();
+        let (build, oracle) = time5(|| Oracle::new(sys))?;
+        let (sweep, (flows, cone)) = time5(|| {
+            let (mut flows, mut cone) = (0u64, 0u64);
+            for q in &queries {
+                let out = q.run(&oracle)?;
+                flows += u64::from(out.holds());
+                cone += u64::from(out.report.engine == "cone");
+            }
+            Ok::<_, sd_core::Error>((flows, cone))
+        })?;
+        let states = sys.state_count()?;
+        t.row(&[
+            name.clone(),
+            states.to_string(),
+            queries.len().to_string(),
+            flows.to_string(),
+            cone.to_string(),
+            build.to_string(),
+            sweep.to_string(),
+        ]);
+        ledger.row(&[("build", build), ("sweep", sweep)], |j| {
+            j.str_field("system", name)
+                .u64_field("states", states)
+                .u64_field("queries", queries.len() as u64)
+                .u64_field("flows", flows)
+                .u64_field("cone", cone);
+        });
+    }
+    print!("{}", t.render());
+    println!("expected: the cone settles no-flow verdicts only; every flow still searches");
+    ledger.write()?;
+    Ok(())
+}
+
 /// Runs per timed case; the quartiles in [`time5`] assume 5.
 const RUNS: usize = 5;
 
-/// Median and interquartile range, in ms, of one case's [`RUNS`] runs.
+/// The shortest timed run: a case faster than this is called in a batch
+/// long enough to reach it, and the batch's time divided by its size, so
+/// that no row sits at the timer's resolution.
+const MIN_RUN: Duration = Duration::from_millis(1);
+
+/// Median and interquartile range, in ms per call, of one case's
+/// [`RUNS`] runs, and the number of calls each run timed.
 #[derive(Clone, Copy)]
 struct Timing {
     median: f64,
     iqr: f64,
+    batch: u32,
 }
 
 impl std::fmt::Display for Timing {
@@ -1596,22 +1714,40 @@ fn ms(x: f64) -> String {
 }
 
 /// The harness's one timer: [`RUNS`] timed runs of `f`, their median
-/// and interquartile range, plus the last run's output. The quartiles
-/// follow Python's `statistics.quantiles(n=4)`.
+/// and interquartile range per call, plus the last call's output. Each
+/// run times one batch of calls lasting at least [`MIN_RUN`]: the batch
+/// doubles from one call until it does, and the first batch that does
+/// counts as the first run (so a case slower than [`MIN_RUN`] runs
+/// exactly [`RUNS`] times). The quartiles follow Python's
+/// `statistics.quantiles(n=4)`.
 fn time5<T, E>(mut f: impl FnMut() -> Result<T, E>) -> Result<(Timing, T), E> {
-    let mut ms = Vec::with_capacity(RUNS);
-    let mut out = None;
-    for _ in 0..RUNS {
+    let mut run = |batch: u32| -> Result<(Duration, T), E> {
         let t = Instant::now();
-        out = Some(std::hint::black_box(f()?));
-        ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let mut out = std::hint::black_box(f()?);
+        for _ in 1..batch {
+            out = std::hint::black_box(f()?);
+        }
+        Ok((t.elapsed(), out))
+    };
+    let mut batch = 1;
+    let (mut took, mut out) = run(batch)?;
+    while took < MIN_RUN {
+        batch *= 2;
+        (took, out) = run(batch)?;
+    }
+    let mut ms = Vec::with_capacity(RUNS);
+    ms.push(took.as_secs_f64() * 1e3 / f64::from(batch));
+    for _ in 1..RUNS {
+        (took, out) = run(batch)?;
+        ms.push(took.as_secs_f64() * 1e3 / f64::from(batch));
     }
     ms.sort_by(f64::total_cmp);
     let timing = Timing {
         median: ms[2],
         iqr: (ms[3] + ms[4]) / 2.0 - (ms[0] + ms[1]) / 2.0,
+        batch,
     };
-    Ok((timing, out.expect("at least one run")))
+    Ok((timing, out))
 }
 
 /// Where a `BENCH_*.json` row was measured: the checkout's git revision,
@@ -1647,8 +1783,9 @@ impl RunMeta {
 
 /// One `BENCH_<name>.json` file — the only writer of those files. Each
 /// row is one JSON object: the case's own fields, then each timing as
-/// `<key>_ms` (median) and `<key>_iqr_ms`, then `runs`, `git_rev`,
-/// `cores` and `profile`.
+/// `<key>_ms` (median per call), `<key>_iqr_ms` and `<key>_batch`
+/// (calls per timed run), then `runs`, `git_rev`, `cores` and
+/// `profile`.
 struct Ledger {
     name: &'static str,
     meta: RunMeta,
@@ -1671,7 +1808,8 @@ impl Ledger {
         fields(&mut j);
         for (key, t) in times {
             j.raw_field(&format!("{key}_ms"), &ms(t.median))
-                .raw_field(&format!("{key}_iqr_ms"), &ms(t.iqr));
+                .raw_field(&format!("{key}_iqr_ms"), &ms(t.iqr))
+                .u64_field(&format!("{key}_batch"), u64::from(t.batch));
         }
         j.u64_field("runs", RUNS as u64)
             .str_field("git_rev", &self.meta.git_rev)
@@ -1749,6 +1887,31 @@ mod tests {
     use super::*;
 
     #[test]
+    fn time5_batches_calls_below_the_minimum_run() {
+        // A near-free call is batched until one run lasts MIN_RUN, and
+        // the timing is per call.
+        let mut calls = 0u64;
+        let (fast, last) = time5(|| {
+            calls += 1;
+            Ok::<_, ()>(calls)
+        })
+        .unwrap();
+        assert!(fast.batch > 1, "batch {}", fast.batch);
+        assert_eq!(last, calls, "the last call's output is returned");
+        assert!(calls >= RUNS as u64 * u64::from(fast.batch));
+        // A call slower than MIN_RUN runs exactly RUNS times, unbatched.
+        let mut calls = 0;
+        let (slow, _) = time5(|| {
+            calls += 1;
+            std::thread::sleep(2 * MIN_RUN);
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!((slow.batch, calls), (1, RUNS));
+        assert!(slow.median >= 2.0 * MIN_RUN.as_secs_f64() * 1e3);
+    }
+
+    #[test]
     fn ledger_rows_are_escaped_json_with_run_metadata() {
         let mut ledger = Ledger {
             name: "test",
@@ -1762,10 +1925,12 @@ mod tests {
         let fast = Timing {
             median: 0.000_412_3,
             iqr: 0.000_05,
+            batch: 4096,
         };
         let slow = Timing {
             median: 1234.5,
             iqr: 12.0,
+            batch: 1,
         };
         ledger.row(&[("wall", fast)], |j| {
             j.str_field("workload", "a\"b\\c\u{1}");
@@ -1790,8 +1955,10 @@ mod tests {
                 assert!(row.contains(field), "{field} missing from {row}");
             }
         }
-        assert!(rows[1].contains(r#""wall_ms":0.0004123,"wall_iqr_ms":0.00005000"#));
-        assert!(rows[2].contains(r#""scan_ms":1234.500,"scan_iqr_ms":12.000"#));
+        assert!(
+            rows[1].contains(r#""wall_ms":0.0004123,"wall_iqr_ms":0.00005000,"wall_batch":4096"#)
+        );
+        assert!(rows[2].contains(r#""scan_ms":1234.500,"scan_iqr_ms":12.000,"scan_batch":1"#));
         assert!(!text.contains("0.000,") && !text.contains("0.000 "));
         assert_eq!(fast.to_string(), "0.0004123 ± 0.00005000");
     }

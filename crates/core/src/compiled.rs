@@ -120,8 +120,9 @@ pub struct CompiledSystem<'s> {
 
 /// The successor table behind a [`CompiledSystem`].
 enum Table {
-    /// State-major dense table: `next[code · num_ops + op]`.
-    Dense(Vec<u32>),
+    /// State-major dense table: `next[code · num_ops + op]`, and whether
+    /// any entry is [`POISON32`].
+    Dense(Vec<u32>, bool),
     /// The system's one sparse row store, shared by every search and
     /// prover sweep over it.
     Sparse(RwLock<SparseMemo>),
@@ -277,7 +278,10 @@ impl<'s> CompiledSystem<'s> {
             dom_sizes.push(u.domain(obj).size() as u64);
         }
         let table = match kind {
-            TableKind::Dense => Table::Dense(build_dense(sys, ns, num_ops)),
+            TableKind::Dense => {
+                let (table, poisoned) = build_dense(sys, ns, num_ops);
+                Table::Dense(table, poisoned)
+            }
             TableKind::Sparse => Table::Sparse(RwLock::default()),
         };
         Ok(CompiledSystem {
@@ -313,9 +317,16 @@ impl<'s> CompiledSystem<'s> {
     /// Which table layout was chosen.
     pub fn kind(&self) -> TableKind {
         match self.table {
-            Table::Dense(_) => TableKind::Dense,
+            Table::Dense(..) => TableKind::Dense,
             Table::Sparse(_) => TableKind::Sparse,
         }
+    }
+
+    /// Whether every operation is known to succeed on every state: the
+    /// table is dense and holds no poison entry. A sparse table only
+    /// learns its rows as searches touch them, so it never knows.
+    pub(crate) fn is_total(&self) -> bool {
+        matches!(self.table, Table::Dense(_, false))
     }
 
     /// Extracts the domain index of `obj` from an encoded state without
@@ -330,7 +341,7 @@ impl<'s> CompiledSystem<'s> {
     /// rule its holder must keep).
     pub(crate) fn rows(&self) -> Rows<'_> {
         match &self.table {
-            Table::Dense(table) => Rows::Dense(self, table),
+            Table::Dense(table, _) => Rows::Dense(self, table),
             Table::Sparse(store) => Rows::Sparse(self, store.read().expect("row store lock")),
         }
     }
@@ -405,42 +416,54 @@ impl<'s> CompiledSystem<'s> {
 }
 
 /// Builds the dense state-major table, splitting the state-code range
-/// across scoped threads.
-fn build_dense(sys: &System, ns: u64, num_ops: usize) -> Vec<u32> {
+/// across scoped threads. Also returns whether any entry is poisoned.
+fn build_dense(sys: &System, ns: u64, num_ops: usize) -> (Vec<u32>, bool) {
     let total = ns as usize * num_ops;
     if total == 0 {
-        return Vec::new();
+        return (Vec::new(), false);
     }
     let mut table = vec![POISON32; total];
     let threads = worker_count();
     if threads <= 1 || ns < 1024 {
-        fill_dense_chunk(sys, &mut table, 0);
-        return table;
+        let poisoned = fill_dense_chunk(sys, &mut table, 0);
+        return (table, poisoned);
     }
     let chunk_states = (ns as usize).div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (i, chunk) in table.chunks_mut(chunk_states * num_ops).enumerate() {
-            let start = (i * chunk_states) as u64;
-            scope.spawn(move || fill_dense_chunk(sys, chunk, start));
-        }
+    let poisoned = std::thread::scope(|scope| {
+        let handles: Vec<_> = table
+            .chunks_mut(chunk_states * num_ops)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let start = (i * chunk_states) as u64;
+                scope.spawn(move || fill_dense_chunk(sys, chunk, start))
+            })
+            .collect();
+        handles.into_iter().fold(false, |any, h| {
+            h.join().expect("dense table worker does not panic") | any
+        })
     });
-    table
+    (table, poisoned)
 }
 
 /// Fills `chunk` (whole rows) with successors of codes starting at
-/// `start_code`.
-fn fill_dense_chunk(sys: &System, chunk: &mut [u32], start_code: u64) {
+/// `start_code`, returning whether any operation errored.
+fn fill_dense_chunk(sys: &System, chunk: &mut [u32], start_code: u64) -> bool {
     let u = sys.universe();
     let num_ops = sys.num_ops();
+    let mut poisoned = false;
     for (row, cells) in chunk.chunks_mut(num_ops).enumerate() {
         let sigma = State::decode(u, start_code + row as u64);
         for (op, cell) in cells.iter_mut().enumerate() {
             *cell = match sys.apply(OpId(op as u32), &sigma) {
                 Ok(next) => next.encode(u) as u32,
-                Err(_) => POISON32,
+                Err(_) => {
+                    poisoned = true;
+                    POISON32
+                }
             };
         }
     }
+    poisoned
 }
 
 /// Number of workers for scoped-thread parallel sections. Cached:
@@ -503,6 +526,7 @@ mod tests {
         let u = sys.universe();
         let ns = sys.state_count().unwrap();
         let (dense, sparse) = compile_both(&sys);
+        assert!(dense.is_total() && !sparse.is_total());
         let all: Vec<u64> = (0..ns).collect();
         sparse.ensure_rows(&all, &mut Trace::disabled());
         let (dense, sparse) = (dense.rows(), sparse.rows());
@@ -583,6 +607,7 @@ mod tests {
         let cs = CompiledSystem::compile(&sys, Engine::CompiledDense, &CompileBudget::default())
             .unwrap();
         // x = 2 overflows the domain.
+        assert!(!cs.is_total());
         let rows = cs.rows();
         assert_eq!(rows.row(2).succ(0), POISON);
         assert!(matches!(rows.step(2, 0), Err(Error::OutOfDomain { .. })));

@@ -12,9 +12,10 @@
 //! - exact decision procedures for strong dependency `A ▷φ β`, both per
 //!   history (Defs 2-3…2-11, 5-5…5-7) and over *all* histories via pair
 //!   reachability ([`depend`], [`reach`]), with a compiled transition-table
-//!   engine for the pair search ([`compiled`]), a unified [`query`]
-//!   builder over compile-once [`oracle`] sessions, and pluggable query
-//!   observability ([`telemetry`]);
+//!   engine for the pair search ([`compiled`]), static cones of
+//!   influence that answer "no flow" without searching ([`cone`]), a
+//!   unified [`query`] builder over compile-once [`oracle`] sessions,
+//!   and pluggable query observability ([`telemetry`]);
 //! - the paper's proof techniques as certificate-producing provers:
 //!   Strong Dependency Induction, Separation of Variety and inductive
 //!   covers ([`induction`], [`cover`], [`certificate`]);
@@ -33,6 +34,7 @@ pub mod bitset;
 pub mod certificate;
 pub mod classify;
 pub mod compiled;
+pub mod cone;
 pub mod constraint;
 pub mod cover;
 pub mod depend;

@@ -19,7 +19,11 @@
 //!   already seen);
 //! - a pool of reusable search buffers (visited structure, BFS node
 //!   arena), so a sweep of thousands of pair searches allocates only on
-//!   growth.
+//!   growth;
+//! - every object's static cone of influence ([`crate::cone`]), computed
+//!   once at construction when the system is known total (a dense table
+//!   with no poison entry, every operation a command), so queries the
+//!   cone already decides answer "no flow" without searching.
 //!
 //! An Oracle answers nothing by itself: [`crate::query::Query::run`]
 //! asks it questions, and one-shot [`crate::query::Query::run_on`] runs
@@ -46,6 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::compiled::{par_map_chunks, CompileBudget, CompiledSystem, Engine, Rows, TableKind};
+use crate::cone::{self, Cones};
 use crate::constraint::{Phi, StateSet};
 use crate::depend::{self, SatPartition};
 use crate::error::{Error, Result};
@@ -141,6 +146,10 @@ pub struct Oracle<'s> {
     budget: CompileBudget,
     /// `None` ⇒ every search runs interpreted.
     compiled: Option<CompiledSystem<'s>>,
+    /// Every object's cone of influence, present only where the cone
+    /// argument holds: a dense table with no poison entry and no native
+    /// operation. `None` ⇒ every query searches.
+    cones: Option<Cones>,
     /// Interned Sat(φ) enumerations. A served system interns every
     /// distinct φ its clients send (over a thousand in one `sdbench`
     /// cold_search run), so lookups go through a hash index.
@@ -242,11 +251,16 @@ impl<'s> Oracle<'s> {
             Some(cs)
         };
         let compiles = u64::from(compiled.is_some());
+        let cones = match &compiled {
+            Some(cs) if cs.is_total() => Cones::of(sys),
+            _ => None,
+        };
         Ok(Oracle {
             sys,
             ns,
             budget: *budget,
             compiled,
+            cones,
             sat_cache: Mutex::new(SatCache::default()),
             pool: Mutex::new(Vec::new()),
             sink,
@@ -341,18 +355,15 @@ impl<'s> Oracle<'s> {
     /// `Sat(φ)` partitioned into `=A=` classes, from the interned
     /// enumeration.
     pub fn partition(&self, phi: &Phi, a: &ObjSet) -> Result<SatPartition> {
-        self.partition_at(phi, a, self.sink_ref())
+        let codes = self.sat_codes(phi)?;
+        Ok(SatPartition::from_codes(self.sys.universe(), &codes, a))
     }
 
-    /// [`Oracle::partition`] reporting cache events to an explicit sink.
-    pub(crate) fn partition_at(
-        &self,
-        phi: &Phi,
-        a: &ObjSet,
-        sink: Option<&dyn Sink>,
-    ) -> Result<SatPartition> {
-        let codes = self.sat_codes_at(phi, sink)?;
-        Ok(SatPartition::from_codes(self.sys.universe(), &codes, a))
+    /// Whether β's cone of influence misses `a`, which proves `A ▷̸φ β`
+    /// for every φ and every history bound (see [`crate::cone`]). Always
+    /// `false` where the cone does not apply, so the caller searches.
+    pub(crate) fn cone_excludes(&self, a: &ObjSet, beta: ObjId) -> bool {
+        self.cones.as_ref().is_some_and(|c| c.excludes(a, beta))
     }
 
     /// Runs one pair search over an explicit partition, borrowing a
@@ -406,27 +417,35 @@ impl<'s> Oracle<'s> {
         })
     }
 
-    /// All sinks of one source set, `{ β | A ▷φ β }`, over an explicit
-    /// partition: one search that stops early once every object is known
-    /// to be a sink.
-    pub(crate) fn sinks_partition(
+    /// All sinks of one source set, `{ β | A ▷φ β }`, over the interned
+    /// `Sat(φ)` codes. Objects whose cone misses A cannot be sinks, so
+    /// they leave the goal set; when none remain, no search runs and the
+    /// report's engine is `"cone"`. Otherwise one search runs, stopping
+    /// early once every remaining candidate is known to be a sink.
+    pub(crate) fn sinks(
         &self,
-        part: &SatPartition,
+        codes: &[u64],
+        a: &ObjSet,
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
     ) -> Result<(ObjSet, QueryReport)> {
         let u = self.sys.universe();
         let extractors: Vec<(ObjId, u64, u64)> = u
             .objects()
+            .filter(|&obj| !self.cone_excludes(a, obj))
             .map(|obj| {
                 let (stride, dom) = reach::extractor(u, obj);
                 (obj, stride, dom)
             })
             .collect();
+        if extractors.is_empty() {
+            return Ok((ObjSet::empty(), QueryReport::empty(cone::ENGINE)));
+        }
+        let part = SatPartition::from_codes(u, codes, a);
         let total = extractors.len();
         let mut out = ObjSet::empty();
         let mut count = 0usize;
-        let (_, report) = self.search(part, limits, u32::MAX, sink, |c1, c2| {
+        let (_, report) = self.search(&part, limits, u32::MAX, sink, |c1, c2| {
             for &(obj, stride, dom) in &extractors {
                 if !out.contains(obj) && (c1 / stride) % dom != (c2 / stride) % dom {
                     out.insert(obj);
@@ -441,8 +460,9 @@ impl<'s> Oracle<'s> {
     /// One sinks row per source set, sharing the interned Sat(φ)
     /// enumeration; rows run in parallel on scoped threads, each
     /// borrowing buffers from the pool. The report sums the rows' counts
-    /// and keeps the deepest level. The limits apply to each row's
-    /// search independently; the deadline is shared, so the whole matrix
+    /// and keeps the deepest level; its engine is `"cone"` only when the
+    /// cone decided every row. The limits apply to each row's search
+    /// independently; the deadline is shared, so the whole matrix
     /// respects it.
     pub(crate) fn sinks_matrix(
         &self,
@@ -452,17 +472,16 @@ impl<'s> Oracle<'s> {
         sink: Option<&dyn Sink>,
     ) -> Result<(Vec<ObjSet>, QueryReport)> {
         let codes = self.sat_codes_at(phi, sink)?;
-        let u = self.sys.universe();
-        let row = |src: &ObjSet| {
-            let part = SatPartition::from_codes(u, &codes, src);
-            self.sinks_partition(&part, limits, sink)
-        };
+        let row = |src: &ObjSet| self.sinks(&codes, src, limits, sink);
         let chunked: Vec<Vec<Result<(ObjSet, QueryReport)>>> =
             par_map_chunks(sources, 1, |chunk| chunk.iter().map(&row).collect());
-        let mut total = QueryReport::empty(self.engine_name());
+        let mut total = QueryReport::empty(cone::ENGINE);
         let mut rows = Vec::with_capacity(sources.len());
         for res in chunked.into_iter().flatten() {
             let (set, report) = res?;
+            if report.engine != cone::ENGINE {
+                total.engine = report.engine;
+            }
             total.absorb(&report);
             rows.push(set);
         }
@@ -510,7 +529,10 @@ mod tests {
         }
         let stats = oracle.stats();
         assert_eq!(stats.compiles, 1);
-        assert_eq!(stats.searches, (sources.len() * sources.len()) as u64);
+        // Of the 16 (a, β) pairs, 8 have a ∈ cone(β) and search; the cone
+        // answers the other 8 (cone(x) = {x}, cone(flag) = {flag},
+        // cone(alpha) = {alpha, x}) without one.
+        assert_eq!(stats.searches, 8);
         assert_eq!(stats.interned_phis, 1);
     }
 

@@ -48,7 +48,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::compiled::{CompileBudget, Engine, TableKind};
+use crate::cone;
 use crate::constraint::Phi;
+use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::fastmap::Fnv64;
 use crate::oracle::Oracle;
@@ -392,10 +394,18 @@ impl Query {
     /// The shared execution core. `fresh` is true when `oracle` was
     /// built by this very run (one-shot), which determines the report's
     /// cache attribution.
+    ///
+    /// Sat(φ) is interned first, so φ's errors and the interned-φ count
+    /// never depend on the target. Then, before any `=A=` partition is
+    /// built, the Oracle's cones of influence ([`crate::cone`]) answer
+    /// "no flow" for a β (or any b ∈ B) whose cone misses A, reported
+    /// with a zeroed `"cone"` engine report.
     fn run_with(&self, oracle: &Oracle<'_>, fresh: bool) -> Result<QueryOutcome> {
         let sink = self.sink.as_deref().or_else(|| oracle.sink_ref());
         let partition_cached = !fresh && oracle.phi_interned(&self.phi);
         let fresh_compile = fresh && oracle.stats().compiles > 0;
+        let u = oracle.system().universe();
+        let no_flow = || (QueryAnswer::Depends(None), QueryReport::empty(cone::ENGINE));
         let start = Instant::now();
         let (answer, mut report) = match &self.target {
             Target::Beta(beta) => {
@@ -404,10 +414,15 @@ impl Query {
                 let max_depth = self
                     .bound
                     .map_or(u32::MAX, |k| u32::try_from(k).unwrap_or(u32::MAX));
-                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (witness, report) =
-                    oracle.depends_partition(&part, *beta, &self.limits, max_depth, sink)?;
-                (QueryAnswer::Depends(witness), report)
+                let codes = oracle.sat_codes_at(&self.phi, sink)?;
+                if oracle.cone_excludes(&self.a, *beta) {
+                    no_flow()
+                } else {
+                    let part = SatPartition::from_codes(u, &codes, &self.a);
+                    let (witness, report) =
+                        oracle.depends_partition(&part, *beta, &self.limits, max_depth, sink)?;
+                    (QueryAnswer::Depends(witness), report)
+                }
             }
             _ if self.bound.is_some() => {
                 return Err(Error::Invalid(
@@ -415,23 +430,27 @@ impl Query {
                 ))
             }
             Target::Set(b) => {
-                let u = oracle.system().universe();
-                let targets: Vec<(u64, u64)> = b
-                    .iter()
-                    .map(|obj| crate::reach::extractor(u, obj))
-                    .collect();
-                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (witness, report) =
-                    oracle.search(&part, &self.limits, u32::MAX, sink, move |c1, c2| {
-                        targets
-                            .iter()
-                            .all(|&(stride, dom)| (c1 / stride) % dom != (c2 / stride) % dom)
-                    })?;
-                (QueryAnswer::Depends(witness), report)
+                let codes = oracle.sat_codes_at(&self.phi, sink)?;
+                if b.iter().any(|obj| oracle.cone_excludes(&self.a, obj)) {
+                    no_flow()
+                } else {
+                    let targets: Vec<(u64, u64)> = b
+                        .iter()
+                        .map(|obj| crate::reach::extractor(u, obj))
+                        .collect();
+                    let part = SatPartition::from_codes(u, &codes, &self.a);
+                    let (witness, report) =
+                        oracle.search(&part, &self.limits, u32::MAX, sink, move |c1, c2| {
+                            targets
+                                .iter()
+                                .all(|&(stride, dom)| (c1 / stride) % dom != (c2 / stride) % dom)
+                        })?;
+                    (QueryAnswer::Depends(witness), report)
+                }
             }
             Target::Sinks => {
-                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (set, report) = oracle.sinks_partition(&part, &self.limits, sink)?;
+                let codes = oracle.sat_codes_at(&self.phi, sink)?;
+                let (set, report) = oracle.sinks(&codes, &self.a, &self.limits, sink)?;
                 (QueryAnswer::Sinks(set), report)
             }
             Target::Matrix(sources) => {
@@ -478,8 +497,9 @@ mod tests {
     fn report_attributes_cache_hits_on_shared_oracle() {
         let sys = sys3();
         let u = sys.universe();
-        let a = ObjSet::singleton(u.objects().next().unwrap());
-        let beta = u.objects().last().unwrap();
+        // alpha → beta: alpha is in cone(beta), so both runs search.
+        let a = ObjSet::singleton(u.obj("alpha").unwrap());
+        let beta = u.obj("beta").unwrap();
         let oracle = Oracle::new(&sys).unwrap();
         let cold = Query::new(Phi::True, a.clone())
             .beta(beta)

@@ -16,7 +16,7 @@ use crate::universe::{Universe, DEFAULT_ENUM_LIMIT};
 #[derive(Debug, Clone)]
 pub struct System {
     universe: Universe,
-    ops: Vec<Op>,
+    pub(crate) ops: Vec<Op>,
     enum_limit: u128,
 }
 

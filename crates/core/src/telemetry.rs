@@ -114,8 +114,13 @@ pub enum QueryEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryReport {
     /// Engine that ran the search: `"interpreted"`, `"compiled-dense"`,
-    /// `"compiled-sparse"`, or `"none"` when the query short-circuited
-    /// without searching (empty target set, empty matrix).
+    /// `"compiled-sparse"`; `"cone"` when the Oracle's static cones of
+    /// influence decided "no flow" without searching ([`crate::cone`]:
+    /// a β or set query whose target's cone misses A, or a sinks or
+    /// matrix query where no object's cone meets any row's A); or
+    /// `"none"` when the query short-circuited without searching (empty
+    /// target set, empty matrix). Both search-free labels come with
+    /// zero pairs and levels.
     pub engine: &'static str,
     /// Wall-clock nanoseconds for the whole run (excluding any fresh
     /// compile, which is reported by [`QueryEvent::CompileFinish`]).

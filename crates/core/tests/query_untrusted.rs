@@ -126,17 +126,19 @@ fn bounded_zero_permits_only_the_empty_history() {
 fn large_bounds_cost_no_more_than_the_unbounded_search() {
     // A bound is a depth cap on the pair search, not an enumeration of
     // |Δ|^k histories: k = 40 finishes as fast as the unbounded query.
-    let sys = examples::flag_copy_system(3).unwrap();
+    // alpha is in cone(beta) (through m and q), so the cone cannot answer
+    // and the search runs; q never changes, so nothing flows.
+    let sys = examples::nontransitive_system(3).unwrap();
     let u = sys.universe();
     let start = Instant::now();
-    let out = Query::new(Phi::True, ObjSet::singleton(u.obj("beta").unwrap()))
-        .beta(u.obj("x").unwrap())
+    let out = Query::new(Phi::True, ObjSet::singleton(u.obj("alpha").unwrap()))
+        .beta(u.obj("beta").unwrap())
         .bounded(40)
         .timeout(Duration::from_secs(2))
         .run_on(&sys)
         .unwrap();
     let took = start.elapsed();
-    assert!(!out.holds(), "nothing flows from beta into x");
+    assert!(!out.holds(), "nothing flows from alpha into beta");
     assert!(
         out.report.visited_pairs > 0,
         "the report names the real search"
@@ -149,15 +151,34 @@ fn large_bounds_cost_no_more_than_the_unbounded_search() {
 
 #[test]
 fn pair_budget_applies_to_bounded_queries() {
-    let sys = examples::flag_copy_system(3).unwrap();
+    // alpha is in cone(beta), so this bounded query searches.
+    let sys = examples::nontransitive_system(2).unwrap();
     let u = sys.universe();
-    let err = Query::new(Phi::True, ObjSet::singleton(u.obj("beta").unwrap()))
-        .beta(u.obj("x").unwrap())
+    let err = Query::new(Phi::True, ObjSet::singleton(u.obj("alpha").unwrap()))
+        .beta(u.obj("beta").unwrap())
         .bounded(3)
         .max_pairs(0)
         .run_on(&sys)
         .unwrap_err();
     assert!(matches!(err, Error::BudgetExhausted { .. }), "{err:?}");
+}
+
+#[test]
+fn cone_decided_queries_spend_no_pair_budget() {
+    // cone(x) = {x} in flag_copy: nothing is ever assigned into x, so
+    // beta cannot reach it and no search runs, even under a zero budget.
+    let sys = examples::flag_copy_system(3).unwrap();
+    let u = sys.universe();
+    let out = Query::new(Phi::True, ObjSet::singleton(u.obj("beta").unwrap()))
+        .beta(u.obj("x").unwrap())
+        .bounded(3)
+        .max_pairs(0)
+        .run_on(&sys)
+        .unwrap();
+    assert!(!out.holds());
+    assert_eq!(out.report.engine, "cone");
+    assert_eq!(out.report.visited_pairs, 0);
+    assert_eq!(out.report.pair_expansions, 0);
 }
 
 #[test]

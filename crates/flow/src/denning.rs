@@ -10,7 +10,7 @@
 //! guard context by their condition's label.
 //!
 //! The analysis is *sound* for the paper's semantics (see
-//! [`crate::compare`] for the machine-checked statement) but conservative:
+//! [`crate::compare`](mod@crate::compare) for the machine-checked statement) but conservative:
 //! it ignores the state in which operations execute, so it rejects programs
 //! that transmit nothing (the §4.4 non-transitivity example).
 

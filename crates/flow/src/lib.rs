@@ -12,7 +12,7 @@
 //! - semantically derived per-operation flow relations and their
 //!   transitive closure over histories ([`flowrel`]);
 //! - the precision comparison against exact strong dependency
-//!   ([`compare`]) — sound, but over-approximate on the §4.4 example;
+//!   ([`compare`](mod@compare)) — sound, but over-approximate on the §4.4 example;
 //! - the Millen-style constraint-aware refinement and its §1.5 limits
 //!   ([`millen`]).
 

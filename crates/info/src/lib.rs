@@ -6,7 +6,7 @@
 //!
 //! - distributions over states, generalizing initial constraints, with
 //!   pushforward `[H]pr` ([`dist`]);
-//! - Shannon entropy, equivocation and mutual information ([`entropy`]);
+//! - Shannon entropy, equivocation and mutual information ([`entropy`](mod@entropy));
 //! - the two §7.4 measures of transmitted bits — equivocation-based and
 //!   held-constant average — plus interference and the data-processing
 //!   bound ([`measure`]);

@@ -8,7 +8,7 @@
 //!
 //! The cover property requires the pc's trajectory to be data-independent
 //! (the paper's flowcharts are straight-line chains of atomic boxes; see
-//! [`crate::compile`]). Programs with data-dependent branching fail the
+//! [`crate::compile`](mod@crate::compile)). Programs with data-dependent branching fail the
 //! Def 6-2 check and are reported `Inapplicable` — for those, the exact
 //! procedures in [`sd_core::reach`] still apply.
 

@@ -8,7 +8,7 @@
 //!
 //! - a mini imperative language ([`ast`], [`token`], [`parser`]);
 //! - a direct interpreter for differential testing ([`eval`]);
-//! - the Lipton-style pc compilation to [`sd_core::System`] ([`compile`]);
+//! - the Lipton-style pc compilation to [`sd_core::System`] ([`compile`](mod@compile));
 //! - Floyd assertions and the §6.5 no-flow prover ([`floyd`]).
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
 //! Lowering φ source text against an arbitrary [`Universe`].
 //!
-//! The compiler's expression lowering ([`crate::compile`]) works over the
+//! The compiler's expression lowering ([`crate::compile`](mod@crate::compile)) works over the
 //! variable map of a compiled program. Serving layers (`sd-server`) need
 //! the inverse direction: given a *system* — any system, including the
 //! paper examples built directly in core — and a constraint written as

@@ -383,16 +383,20 @@ pub struct RequestObs<'a> {
 }
 
 /// Engine label values for `sd_engine_runs_total`.
-const ENGINES: [&str; 5] = [
+const ENGINES: [&str; 6] = [
     "interpreted",
     "compiled-dense",
     "compiled-sparse",
+    "cone",
     "none",
     "other",
 ];
 
 fn engine_idx(engine: &str) -> usize {
-    ENGINES.iter().position(|e| *e == engine).unwrap_or(4)
+    ENGINES
+        .iter()
+        .position(|e| *e == engine)
+        .unwrap_or(ENGINES.len() - 1)
 }
 
 /// The server's metric families. One instance per server, shared by
@@ -860,7 +864,7 @@ static FAMILIES: [(&str, &[Family]); 12] = {
         ]),
         ("engines", &[
             fam(Cells, &[Dim::ENGINE], Counter(|m, _, [e, _]| m.engine_runs[e].get()),
-                Some(("sd_engine_runs_total", "Searches run, by engine kind."))),
+                Some(("sd_engine_runs_total", "Queries run, by engine kind (cone and none ran no search)."))),
         ]),
         ("oracle", &[
             fam(Key("partition_hits"), &[], Counter(|m, _, _| m.partition_hits.get()),

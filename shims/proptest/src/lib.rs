@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the subset of the proptest API its test suites use:
-//! [`Strategy`] with `prop_map` / `prop_flat_map` / `prop_recursive` /
+//! [`Strategy`](strategy::Strategy) with `prop_map` / `prop_flat_map` / `prop_recursive` /
 //! `boxed`, [`strategy::Just`], weighted unions via [`prop_oneof!`],
 //! `prop::collection::vec`, and the [`proptest!`] / [`prop_assert!`] /
 //! [`prop_assert_eq!`] macros.
@@ -380,7 +380,7 @@ pub mod collection {
         }
     }
 
-    /// Result of [`vec`].
+    /// Result of [`vec`](fn@vec).
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,
