@@ -299,8 +299,11 @@ fn e4_unique_maximal() -> Result<(), Box<dyn std::error::Error>> {
     let u = sys.universe();
     let a = u.obj("alpha")?;
     let b = u.obj("beta")?;
-    let computed =
-        sd_core::solve::unique_maximal_independent_solution(&sys, &ObjSet::singleton(a), b)?;
+    let computed = sd_core::solve::unique_maximal_independent_solution(
+        &sd_core::Oracle::new(&sys)?,
+        &ObjSet::singleton(a),
+        b,
+    )?;
     let expected = Phi::expr(
         Expr::var(u.obj("xx")?)
             .has_rights(Rights::S)
@@ -410,11 +413,13 @@ impl ChainCase {
         })
     }
 
-    /// Cor 4-3 with q(x, y) = Chain(x) ⊃ Chain(y).
+    /// Cor 4-3 with q(x, y) = Chain(x) ⊃ Chain(y), on a fresh Oracle:
+    /// the compile is part of the proof's cost.
     fn prove(&self) -> sd_core::Result<ProofOutcome> {
         let alpha = self.alpha;
         let q = move |x: ObjId, y: ObjId| x != alpha || y == alpha;
-        sd_core::induction::prove_cor_4_3(&self.sys, &self.phi, &q, "Chain(x) ⊃ Chain(y)")
+        let oracle = sd_core::Oracle::new(&self.sys)?;
+        sd_core::induction::prove_cor_4_3(&oracle, &self.phi, &q, "Chain(x) ⊃ Chain(y)")
     }
 
     /// The exact pair search for `α ▷φ β`.
@@ -495,7 +500,7 @@ fn e7_nontransitivity() -> Result<(), Box<dyn std::error::Error>> {
         Phi::expr(Expr::var(q_obj).not()),
     ];
     let out = sd_core::cover::prove_separation_of_variety(
-        &sys,
+        &sd_core::Oracle::new(&sys)?,
         &Phi::True,
         &cover,
         &ObjSet::singleton(a),
@@ -644,13 +649,14 @@ fn e10_oscillator() -> Result<(), Box<dyn std::error::Error>> {
         Phi::expr(Expr::var(a).eq(Expr::int(37))),
         Phi::expr(Expr::var(a).eq(Expr::int(-37))),
     ];
+    let oracle = sd_core::Oracle::new(&sys)?;
     t.row(&[
         "{α = 37, α = -37} inductive cover for φ".into(),
-        yes(sd_core::cover::is_inductive_cover(&sys, &phi, &cover)?),
+        yes(sd_core::cover::is_inductive_cover(&oracle, &phi, &cover)?),
         "yes".into(),
     ]);
     let proof =
-        sd_core::cover::prove_inductive_cover(&sys, &phi, &cover, &ObjSet::singleton(a), b)?;
+        sd_core::cover::prove_inductive_cover(&oracle, &phi, &cover, &ObjSet::singleton(a), b)?;
     t.row(&[
         "Thm 6-7 proves ¬α ▷φ β".into(),
         yes(proof.is_proved()),
@@ -1107,7 +1113,7 @@ fn p1_induction_vs_exact() -> Result<(), Box<dyn std::error::Error>> {
 /// false, so every engine must exhaust the reachable pair space. Writes
 /// `BENCH_pair_bfs.json`.
 fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
-    use sd_core::Engine;
+    use sd_core::{CompileBudget, Engine, Oracle};
 
     println!("\n== P2: pair-BFS engines — interpreted vs compiled tables ==");
     let mut cases: Vec<(String, sd_core::System, Phi)> = Vec::new();
@@ -1140,11 +1146,18 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
         let states = sys.state_count()?;
         let ops = sys.num_ops() as u64;
         let mut interpreted = None;
+        let query = sd_core::Query::new(phi.clone(), a.clone()).beta(beta);
         for engine in [Engine::Interpreted, Engine::Auto] {
-            let query = sd_core::Query::new(phi.clone(), a.clone())
-                .beta(beta)
-                .engine(engine);
-            let (time, out) = time5(|| query.run_on(sys))?;
+            // The interpreted row pins its engine on an Oracle built per
+            // run; the Auto row is the one-shot φ-tuned path.
+            let (time, out) = time5(|| match engine {
+                Engine::Auto => query.run_on(sys),
+                _ => query.run(&Oracle::with_engine(
+                    sys,
+                    engine,
+                    &CompileBudget::default(),
+                )?),
+            })?;
             let reference = *interpreted.get_or_insert(time.median);
             let r = &out.report;
             t.row(&[
@@ -1283,10 +1296,9 @@ fn p4_info() -> Result<(), Box<dyn std::error::Error>> {
 /// compiled Oracle with parallel kernels. Writes `BENCH_provers.json`.
 fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
     use sd_core::cover::PieceStrategy;
-    use sd_core::{solve, CompileBudget, Engine, StateSet};
+    use sd_core::{solve, Oracle, StateSet};
 
     println!("\n== P5: prover engines — sequential per-call vs shared Oracle ==");
-    let budget = CompileBudget::default();
     let mut ledger = Ledger::new("provers");
 
     let mut t = Table::new(&[
@@ -1340,8 +1352,6 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
                 let phi_c = Phi::from_set(cyl.clone());
                 if sd_core::Query::new(phi_c.clone(), sources.clone())
                     .beta(sink)
-                    .engine(Engine::Auto)
-                    .budget(budget)
                     .run_on(&sys)?
                     .into_witness()
                     .is_none()
@@ -1351,9 +1361,12 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
             }
             Ok(sol)
         })?;
-        let (oracle, (oracle_solution, stats)) =
-            time5(|| solve::unique_maximal_independent_solution_stats(&sys, &sources, sink))?;
-        let compiles = stats.compiles;
+        // Each timed run builds its Oracle, so it includes the compile.
+        let (oracle, (oracle_solution, compiles)) = time5(|| -> sd_core::Result<_> {
+            let oracle = Oracle::new(&sys)?;
+            let phi = solve::unique_maximal_independent_solution(&oracle, &sources, sink)?;
+            Ok((phi, oracle.stats().compiles))
+        })?;
         let agree = oracle_solution.sat(&sys)? == seq_solution && compiles == 1;
 
         t.row(&[
@@ -1431,8 +1444,6 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
                     let conj = Phi::True.and(piece.clone());
                     if sd_core::Query::new(conj.clone(), a.clone())
                         .beta(beta)
-                        .engine(Engine::Auto)
-                        .budget(budget)
                         .run_on(&sys)?
                         .into_witness()
                         .is_some()
@@ -1446,7 +1457,7 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
         })?;
         let (oracle, oracle_proved) = time5(|| {
             sd_core::cover::prove_separation_of_variety(
-                &sys,
+                &Oracle::new(&sys)?,
                 &Phi::True,
                 &cover,
                 &a,

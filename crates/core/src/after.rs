@@ -45,16 +45,10 @@ pub fn after_history_phi(sys: &System, phi: &Phi, h: &History) -> Result<Phi> {
 ///
 /// The sets form a transition system (`[Hδ]φ = δ([H]φ)`), so a BFS with
 /// memoization suffices. `max_sets` bounds the exploration; the default used
-/// by [`reachable_images`] is generous for the systems in this crate.
-pub fn reachable_images_bounded(sys: &System, phi: &Phi, max_sets: usize) -> Result<Vec<StateSet>> {
-    let oracle = Oracle::new(sys)?;
-    reachable_images_bounded_with(&oracle, phi, max_sets)
-}
-
-/// [`reachable_images_bounded`] against a prepared [`Oracle`]: each BFS
-/// step maps the current image through the Oracle's successor view —
+/// by [`reachable_images`] is generous for the systems in this crate. Each
+/// BFS step maps the current image through the Oracle's successor view —
 /// compiled rows, or the interpreter when the Oracle runs interpreted.
-pub fn reachable_images_bounded_with(
+pub fn reachable_images_bounded(
     oracle: &Oracle,
     phi: &Phi,
     max_sets: usize,
@@ -93,14 +87,8 @@ pub fn reachable_images_bounded_with(
 }
 
 /// [`reachable_images_bounded`] with a default bound of 65 536 sets.
-pub fn reachable_images(sys: &System, phi: &Phi) -> Result<Vec<StateSet>> {
-    let oracle = Oracle::new(sys)?;
-    reachable_images_with(&oracle, phi)
-}
-
-/// [`reachable_images`] against a prepared [`Oracle`].
-pub fn reachable_images_with(oracle: &Oracle, phi: &Phi) -> Result<Vec<StateSet>> {
-    reachable_images_bounded_with(oracle, phi, 1 << 16)
+pub fn reachable_images(oracle: &Oracle, phi: &Phi) -> Result<Vec<StateSet>> {
+    reachable_images_bounded(oracle, phi, 1 << 16)
 }
 
 /// Theorem 6-1 as a runtime check: `φ(σ) ⊃ [H]φ(H(σ))` for all σ, H of
@@ -186,7 +174,7 @@ mod tests {
         let phi = Phi::expr(Expr::var(a).lt(Expr::int(10)));
         assert!(classify::is_invariant(&sys, &phi).unwrap());
         let sat = phi.sat(&sys).unwrap();
-        for img in reachable_images(&sys, &phi).unwrap() {
+        for img in reachable_images(&Oracle::new(&sys).unwrap(), &phi).unwrap() {
             assert!(img.is_subset(&sat));
         }
     }
@@ -198,7 +186,7 @@ mod tests {
         let sys = sec_6_2_system();
         let a = sys.universe().obj("alpha").unwrap();
         let phi = Phi::expr(Expr::var(a).lt(Expr::int(10)));
-        let images = reachable_images(&sys, &phi).unwrap();
+        let images = reachable_images(&Oracle::new(&sys).unwrap(), &phi).unwrap();
         assert_eq!(images.len(), 2);
     }
 
@@ -207,7 +195,7 @@ mod tests {
         let sys = sec_6_2_system();
         let a = sys.universe().obj("alpha").unwrap();
         let phi = Phi::expr(Expr::var(a).lt(Expr::int(10)));
-        assert!(reachable_images_bounded(&sys, &phi, 1).is_err());
+        assert!(reachable_images_bounded(&Oracle::new(&sys).unwrap(), &phi, 1).is_err());
     }
 
     #[test]

@@ -5,15 +5,14 @@
 //! expansion with two `State::decode`s, two AST walks and two
 //! `State::encode`s. For finite systems the whole transition function
 //! can instead be *compiled once*: each operation becomes a dense
-//! successor table `next[code · |Δ| + op] → code'` of `u32` codes, and
-//! per-object index extraction becomes two integer divisions against
-//! precomputed 64-bit strides ([`CompiledSystem::obj_index`]) instead of
-//! the `u128` arithmetic in `Universe::stride`.
+//! successor table `next[code · |Δ| + op] → code'` of `u32` codes.
 //!
-//! Two table layouts are provided, chosen by [`CompileBudget`]:
+//! Two table layouts are provided; the Oracle picks one from the
+//! [`Engine`], the [`CompileBudget`] and the state space (see
+//! [`crate::oracle`]):
 //!
-//! - **Dense** (`|Σ| · |Δ|` within budget): every successor is
-//!   precomputed up front, in parallel over state-code ranges.
+//! - **Dense**: every successor is precomputed up front, in parallel
+//!   over state-code ranges.
 //! - **Sparse**: successor rows are interpreted on first touch and
 //!   memoised in the system's one row store, so each *reached* state is
 //!   interpreted exactly once for all operations, however many searches
@@ -38,7 +37,6 @@ use crate::history::OpId;
 use crate::state::State;
 use crate::system::System;
 use crate::telemetry::{QueryEvent, Trace};
-use crate::universe::ObjId;
 
 /// Dense-table sentinel: "this operation errors on this state".
 const POISON32: u32 = u32::MAX;
@@ -67,10 +65,12 @@ impl Default for CompileBudget {
     }
 }
 
-/// Which pair-search engine [`crate::reach`] should use.
+/// Which pair-search engine an [`crate::Oracle`] runs; the Oracle turns
+/// it into a table layout (see [`crate::oracle`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Compile, picking dense or sparse tables from the budget.
+    /// Compile, picking dense or sparse tables from the budget and the
+    /// size of Sat(φ).
     #[default]
     Auto,
     /// The original AST-interpreting BFS (reference implementation).
@@ -81,9 +81,9 @@ pub enum Engine {
     CompiledSparse,
 }
 
-/// Table layout chosen for a [`CompiledSystem`].
+/// Table layout of a compiled system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableKind {
+pub(crate) enum TableKind {
     /// Upfront `|Σ| · |Δ|` table.
     Dense,
     /// Rows interpreted on first touch and memoised.
@@ -93,7 +93,7 @@ pub enum TableKind {
 impl TableKind {
     /// The engine label searches on this layout report
     /// (`QueryReport::engine`, the `CompileFinish` event).
-    pub fn engine_name(self) -> &'static str {
+    pub(crate) fn engine_name(self) -> &'static str {
         match self {
             TableKind::Dense => "compiled-dense",
             TableKind::Sparse => "compiled-sparse",
@@ -107,14 +107,10 @@ impl TableKind {
 /// [`crate::query::Query::matrix`] compile once for all worth-matrix
 /// rows. A dense system is immutable after construction; a sparse one
 /// grows its row store as searches and prover sweeps touch new states.
-pub struct CompiledSystem<'s> {
+pub(crate) struct CompiledSystem<'s> {
     sys: &'s System,
     ns: u64,
     num_ops: usize,
-    /// Per-object stride, narrowed to u64 (valid because `|Σ|` fits u64).
-    strides: Vec<u64>,
-    /// Per-object domain size, narrowed likewise.
-    dom_sizes: Vec<u64>,
     table: Table,
 }
 
@@ -237,46 +233,12 @@ fn interpret(sys: &System, code: u64, op: usize) -> Result<u64> {
 }
 
 impl<'s> CompiledSystem<'s> {
-    /// Compiles `sys` under `engine` and `budget`.
-    ///
-    /// [`Engine::Auto`] (and, for convenience, [`Engine::Interpreted`])
-    /// selects dense tables when `|Σ| · |Δ|` fits the budget and codes
-    /// fit `u32`, sparse otherwise. Forcing [`Engine::CompiledDense`]
-    /// beyond the `u32` code range is an error.
-    pub fn compile(
-        sys: &'s System,
-        engine: Engine,
-        budget: &CompileBudget,
-    ) -> Result<CompiledSystem<'s>> {
+    /// Compiles `sys` to the given table layout. Which layout a system
+    /// gets is the Oracle's decision (`oracle::choose_tables`); the
+    /// caller guarantees that state codes fit `u32`.
+    pub(crate) fn compile(sys: &'s System, kind: TableKind) -> Result<CompiledSystem<'s>> {
         let ns = sys.state_count()?;
         let num_ops = sys.num_ops();
-        let entries = ns.saturating_mul(num_ops.max(1) as u64);
-        let dense_feasible = ns < u64::from(u32::MAX);
-        let kind = match engine {
-            Engine::CompiledDense => {
-                if !dense_feasible {
-                    return Err(Error::Invalid(format!(
-                        "state space of {ns} states does not fit dense u32 codes"
-                    )));
-                }
-                TableKind::Dense
-            }
-            Engine::CompiledSparse => TableKind::Sparse,
-            Engine::Auto | Engine::Interpreted => {
-                if dense_feasible && entries <= budget.max_dense_entries {
-                    TableKind::Dense
-                } else {
-                    TableKind::Sparse
-                }
-            }
-        };
-        let u = sys.universe();
-        let mut strides = Vec::with_capacity(u.num_objects());
-        let mut dom_sizes = Vec::with_capacity(u.num_objects());
-        for obj in u.objects() {
-            strides.push(u.stride(obj) as u64);
-            dom_sizes.push(u.domain(obj).size() as u64);
-        }
         let table = match kind {
             TableKind::Dense => {
                 let (table, poisoned) = build_dense(sys, ns, num_ops);
@@ -288,34 +250,27 @@ impl<'s> CompiledSystem<'s> {
             sys,
             ns,
             num_ops,
-            strides,
-            dom_sizes,
             table,
         })
     }
 
-    /// Compiles with [`Engine::Auto`] and the default budget.
-    pub fn auto(sys: &'s System) -> Result<CompiledSystem<'s>> {
-        CompiledSystem::compile(sys, Engine::Auto, &CompileBudget::default())
-    }
-
     /// The underlying system.
-    pub fn system(&self) -> &'s System {
+    pub(crate) fn system(&self) -> &'s System {
         self.sys
     }
 
     /// `|Σ|`.
-    pub fn state_count(&self) -> u64 {
+    pub(crate) fn state_count(&self) -> u64 {
         self.ns
     }
 
     /// `|Δ|`.
-    pub fn num_ops(&self) -> usize {
+    pub(crate) fn num_ops(&self) -> usize {
         self.num_ops
     }
 
     /// Which table layout was chosen.
-    pub fn kind(&self) -> TableKind {
+    pub(crate) fn kind(&self) -> TableKind {
         match self.table {
             Table::Dense(..) => TableKind::Dense,
             Table::Sparse(_) => TableKind::Sparse,
@@ -327,14 +282,6 @@ impl<'s> CompiledSystem<'s> {
     /// learns its rows as searches touch them, so it never knows.
     pub(crate) fn is_total(&self) -> bool {
         matches!(self.table, Table::Dense(_, false))
-    }
-
-    /// Extracts the domain index of `obj` from an encoded state without
-    /// decoding — the compiled counterpart of `State::index`.
-    #[inline]
-    pub fn obj_index(&self, code: u64, obj: ObjId) -> u32 {
-        let i = obj.index();
-        ((code / self.strides[i]) % self.dom_sizes[i]) as u32
     }
 
     /// A read view of the successor tables (see [`Rows`] for the one
@@ -514,9 +461,8 @@ mod tests {
     use crate::system::System;
 
     fn compile_both(sys: &System) -> (CompiledSystem<'_>, CompiledSystem<'_>) {
-        let budget = CompileBudget::default();
-        let dense = CompiledSystem::compile(sys, Engine::CompiledDense, &budget).unwrap();
-        let sparse = CompiledSystem::compile(sys, Engine::CompiledSparse, &budget).unwrap();
+        let dense = CompiledSystem::compile(sys, TableKind::Dense).unwrap();
+        let sparse = CompiledSystem::compile(sys, TableKind::Sparse).unwrap();
         (dense, sparse)
     }
 
@@ -563,32 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn obj_index_matches_decode() {
-        let sys = examples::m1m2_system(3).unwrap();
-        let u = sys.universe();
-        let cs = CompiledSystem::auto(&sys).unwrap();
-        for code in 0..sys.state_count().unwrap() {
-            let sigma = State::decode(u, code);
-            for obj in u.objects() {
-                assert_eq!(cs.obj_index(code, obj), sigma.index(obj));
-            }
-        }
-    }
-
-    #[test]
-    fn auto_respects_budget() {
-        let sys = examples::copy_system(8).unwrap();
-        let tiny = CompileBudget {
-            max_dense_entries: 4,
-            ..CompileBudget::default()
-        };
-        let cs = CompiledSystem::compile(&sys, Engine::Auto, &tiny).unwrap();
-        assert_eq!(cs.kind(), TableKind::Sparse);
-        let cs = CompiledSystem::auto(&sys).unwrap();
-        assert_eq!(cs.kind(), TableKind::Dense);
-    }
-
-    #[test]
     fn poison_surfaces_interpreter_error() {
         // copy_system(3) with enum limit large enough, but an op writing
         // out of domain: build via with_enum_limit on an invalid system.
@@ -604,8 +524,7 @@ mod tests {
                 Cmd::assign(x, Expr::var(x).add(Expr::int(1))),
             )],
         );
-        let cs = CompiledSystem::compile(&sys, Engine::CompiledDense, &CompileBudget::default())
-            .unwrap();
+        let cs = CompiledSystem::compile(&sys, TableKind::Dense).unwrap();
         // x = 2 overflows the domain.
         assert!(!cs.is_total());
         let rows = cs.rows();

@@ -50,25 +50,10 @@ pub enum PieceStrategy {
 /// Theorem 4-5 as a proof technique: given an A-independent cover `{φi}`,
 /// if `¬A ▷(φ∧φi) β` for every i, then `¬A ▷φ β`.
 ///
-/// Compiles the system once and discharges every piece against the shared
-/// [`Oracle`]; see [`prove_separation_of_variety_with`].
+/// The pieces are discharged in parallel against the shared [`Oracle`],
+/// then merged in piece order so the reported first failure (and the
+/// recorded sub-certificates) are identical to a sequential sweep.
 pub fn prove_separation_of_variety(
-    sys: &System,
-    phi: &Phi,
-    cover: &[Phi],
-    a: &ObjSet,
-    beta: ObjId,
-    strategy: PieceStrategy,
-) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_separation_of_variety_with(&oracle, phi, cover, a, beta, strategy)
-}
-
-/// [`prove_separation_of_variety`] against a prepared [`Oracle`]: the
-/// pieces are discharged in parallel over the shared compiled system, then
-/// merged in piece order so the reported first failure (and the recorded
-/// sub-certificates) are identical to a sequential sweep.
-pub fn prove_separation_of_variety_with(
     oracle: &Oracle,
     phi: &Phi,
     cover: &[Phi],
@@ -141,7 +126,7 @@ pub fn prove_separation_of_variety_with(
                             Ok(Ok(c))
                         }
                         PieceStrategy::Cor56 => {
-                            match crate::induction::prove_cor_5_6_with(oracle, &conj, a, beta)? {
+                            match crate::induction::prove_cor_5_6(oracle, &conj, a, beta)? {
                                 ProofOutcome::Proved(c) => Ok(Ok(c)),
                                 ProofOutcome::Inapplicable(r) => {
                                     Ok(Err(format!("piece {i}: Corollary 5-6 failed: {r}")))
@@ -149,7 +134,7 @@ pub fn prove_separation_of_variety_with(
                             }
                         }
                         PieceStrategy::Cor65 => {
-                            match crate::induction::prove_cor_6_5_with(oracle, &conj, a, beta)? {
+                            match crate::induction::prove_cor_6_5(oracle, &conj, a, beta)? {
                                 ProofOutcome::Proved(c) => Ok(Ok(c)),
                                 ProofOutcome::Inapplicable(r) => {
                                     Ok(Err(format!("piece {i}: Corollary 6-5 failed: {r}")))
@@ -175,17 +160,12 @@ pub fn prove_separation_of_variety_with(
 }
 
 /// Whether `{φi}` is an inductive cover for φ (Def 6-2): every reachable
-/// `[H]φ` is contained in some φi. Exact, via image-set enumeration.
-pub fn is_inductive_cover(sys: &System, phi: &Phi, cover: &[Phi]) -> Result<bool> {
-    let oracle = Oracle::new(sys)?;
-    is_inductive_cover_with(&oracle, phi, cover)
-}
-
-/// [`is_inductive_cover`] against a prepared [`Oracle`].
-pub fn is_inductive_cover_with(oracle: &Oracle, phi: &Phi, cover: &[Phi]) -> Result<bool> {
+/// `[H]φ` is contained in some φi. Exact, via image-set enumeration over
+/// the Oracle's successor rows.
+pub fn is_inductive_cover(oracle: &Oracle, phi: &Phi, cover: &[Phi]) -> Result<bool> {
     let sys = oracle.system();
     let sats: Vec<StateSet> = cover.iter().map(|p| p.sat(sys)).collect::<Result<_>>()?;
-    for image in crate::after::reachable_images_with(oracle, phi)? {
+    for image in crate::after::reachable_images(oracle, phi)? {
         if !sats.iter().any(|s| image.is_subset(s)) {
             return Ok(false);
         }
@@ -217,21 +197,10 @@ pub fn is_inductive_cover_one_step(sys: &System, phi: &Phi, cover: &[Phi]) -> Re
 /// and, globally, either no operation spreads differences out of A under
 /// any φi, or no operation creates a new difference at β under any φi,
 /// then `¬A ▷φ β`.
+///
+/// The Def 6-2 image enumeration and every per-operation disjunct check
+/// run over the Oracle's successor rows.
 pub fn prove_inductive_cover(
-    sys: &System,
-    phi: &Phi,
-    cover: &[Phi],
-    a: &ObjSet,
-    beta: ObjId,
-) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_inductive_cover_with(&oracle, phi, cover, a, beta)
-}
-
-/// [`prove_inductive_cover`] against a prepared [`Oracle`]: the Def 6-2
-/// image enumeration and every per-operation disjunct check run over
-/// compiled successor rows.
-pub fn prove_inductive_cover_with(
     oracle: &Oracle,
     phi: &Phi,
     cover: &[Phi],
@@ -242,7 +211,7 @@ pub fn prove_inductive_cover_with(
     if a.contains(beta) {
         return Ok(ProofOutcome::Inapplicable("β ∈ A".into()));
     }
-    if !is_inductive_cover_with(oracle, phi, cover)? {
+    if !is_inductive_cover(oracle, phi, cover)? {
         return Ok(ProofOutcome::Inapplicable(
             "{φi} is not an inductive cover for φ (Def 6-2)".into(),
         ));
@@ -350,6 +319,13 @@ mod tests {
             .into_witness()
     }
 
+    /// Separation of Variety under φ = tt, each piece decided exactly.
+    fn sov_exact(sys: &System, cover: &[Phi], a: &ObjSet, beta: ObjId) -> ProofOutcome {
+        let oracle = Oracle::new(sys).unwrap();
+        prove_separation_of_variety(&oracle, &Phi::True, cover, a, beta, PieceStrategy::ExactBfs)
+            .unwrap()
+    }
+
     /// The §4.4/§4.6 non-transitive system:
     /// δ1: if q then m ← α; δ2: if ¬q then β ← m.
     fn nontransitive() -> System {
@@ -388,9 +364,7 @@ mod tests {
         let cover = vec![Phi::expr(Expr::var(q)), Phi::expr(Expr::var(q).not())];
         let src = ObjSet::singleton(a);
         assert!(is_independent_cover(&sys, &cover, &src).unwrap());
-        let out =
-            prove_separation_of_variety(&sys, &Phi::True, &cover, &src, b, PieceStrategy::ExactBfs)
-                .unwrap();
+        let out = sov_exact(&sys, &cover, &src, b);
         assert!(out.is_proved(), "{:?}", out.reason());
         // Exact oracle agrees.
         assert!(exact_depends(&sys, &Phi::True, &src, b).is_none());
@@ -418,9 +392,7 @@ mod tests {
         );
         let cover = vec![Phi::expr(Expr::var(m)), Phi::expr(Expr::var(m).not())];
         let src = ObjSet::singleton(a);
-        let out =
-            prove_separation_of_variety(&sys, &Phi::True, &cover, &src, b, PieceStrategy::ExactBfs)
-                .unwrap();
+        let out = sov_exact(&sys, &cover, &src, b);
         assert!(!out.is_proved());
         assert!(out.reason().unwrap().contains("piece 0"));
         // The m = ff piece on its own does block the flow (paper's point:
@@ -442,9 +414,7 @@ mod tests {
         ];
         let src = ObjSet::singleton(a);
         assert!(!is_independent_cover(&sys, &cover, &src).unwrap());
-        let out =
-            prove_separation_of_variety(&sys, &Phi::True, &cover, &src, b, PieceStrategy::ExactBfs)
-                .unwrap();
+        let out = sov_exact(&sys, &cover, &src, b);
         assert!(out.reason().unwrap().contains("not A-independent"));
     }
 
@@ -456,15 +426,7 @@ mod tests {
         let b = u.obj("beta").unwrap();
         let q = u.obj("q").unwrap();
         let cover = vec![Phi::expr(Expr::var(q))];
-        let out = prove_separation_of_variety(
-            &sys,
-            &Phi::True,
-            &cover,
-            &ObjSet::singleton(a),
-            b,
-            PieceStrategy::ExactBfs,
-        )
-        .unwrap();
+        let out = sov_exact(&sys, &cover, &ObjSet::singleton(a), b);
         assert!(out.reason().unwrap().contains("does not cover"));
     }
 
@@ -494,9 +456,10 @@ mod tests {
             Phi::expr(Expr::var(a).eq(Expr::int(37))),
             Phi::expr(Expr::var(a).eq(Expr::int(-37))),
         ];
-        assert!(is_inductive_cover(&sys, &phi, &cover).unwrap());
+        let oracle = Oracle::new(&sys).unwrap();
+        assert!(is_inductive_cover(&oracle, &phi, &cover).unwrap());
         assert!(is_inductive_cover_one_step(&sys, &phi, &cover).unwrap());
-        let out = prove_inductive_cover(&sys, &phi, &cover, &ObjSet::singleton(a), b).unwrap();
+        let out = prove_inductive_cover(&oracle, &phi, &cover, &ObjSet::singleton(a), b).unwrap();
         assert!(out.is_proved(), "{:?}", out.reason());
         assert!(exact_depends(&sys, &phi, &ObjSet::singleton(a), b).is_none());
 
@@ -518,7 +481,7 @@ mod tests {
         let q = u.obj("q").unwrap();
         // {q} alone is not an inductive cover for tt (misses ¬q states).
         let cover = vec![Phi::expr(Expr::var(q))];
-        assert!(!is_inductive_cover(&sys, &Phi::True, &cover).unwrap());
+        assert!(!is_inductive_cover(&Oracle::new(&sys).unwrap(), &Phi::True, &cover).unwrap());
         assert!(!is_inductive_cover_one_step(&sys, &Phi::True, &cover).unwrap());
     }
 

@@ -17,11 +17,10 @@
 //! (see DESIGN.md): "differences confined to A stay confined to A" and
 //! "no operation creates a new difference at β".
 //!
-//! Every prover has a `_with` variant taking a prepared [`Oracle`]: the
-//! system compiles once, per-operation checks read the Oracle's successor
-//! view (compiled rows, or the interpreter when the Oracle runs
-//! interpreted), and the `(constraint set, operation)` check matrix is
-//! discharged in parallel. Grouping inside the kernels uses arithmetic
+//! Every prover takes a prepared [`Oracle`]: the system compiles once,
+//! per-operation checks read the Oracle's successor view (compiled rows,
+//! or the interpreter when the Oracle runs interpreted), and the
+//! `(constraint set, operation)` check matrix is discharged in parallel. Grouping inside the kernels uses arithmetic
 //! projection keys over packed `u64` codes — no `State` is decoded on the
 //! hot path.
 
@@ -196,20 +195,11 @@ fn render_objset(sys: &System, a: &ObjSet) -> String {
 /// Corollary 5-6: for invariant φ and β ∉ A, if no operation spreads
 /// differences out of A, or no operation creates a new difference at β,
 /// then `¬A ▷φ β`.
-pub fn prove_cor_5_6(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_5_6_with(&oracle, phi, a, beta)
-}
-
-/// [`prove_cor_5_6`] against a prepared [`Oracle`]: the compile, Sat(φ)
-/// enumeration and successor rows are shared with the caller's other
-/// queries, and the per-operation checks run in parallel.
-pub fn prove_cor_5_6_with(
-    oracle: &Oracle,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-) -> Result<ProofOutcome> {
+///
+/// The compile, Sat(φ) enumeration and successor rows are shared with
+/// the caller's other queries on `oracle`, and the per-operation checks
+/// run in parallel.
+pub fn prove_cor_5_6(oracle: &Oracle, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
     let sys = oracle.system();
     if a.contains(beta) {
         return Ok(ProofOutcome::Inapplicable("β ∈ A".into()));
@@ -307,24 +297,18 @@ fn disjunction(
 /// # Examples
 ///
 /// ```
-/// use sd_core::{examples, induction, Expr, Phi};
+/// use sd_core::{examples, induction, Expr, Oracle, Phi};
 ///
 /// let sys = examples::guarded_copy_system(2)?;
 /// let u = sys.universe();
 /// let (alpha, beta, m) = (u.obj("alpha")?, u.obj("beta")?, u.obj("m")?);
 /// let phi = Phi::expr(Expr::var(m).not());
-/// let outcome = induction::prove_cor_4_2(&sys, &phi, alpha, beta)?;
+/// let outcome = induction::prove_cor_4_2(&Oracle::new(&sys)?, &phi, alpha, beta)?;
 /// let cert = outcome.certificate().expect("φ = ¬m blocks the copy");
 /// assert!(cert.conclusion.contains("beta"));
 /// # Ok::<(), sd_core::Error>(())
 /// ```
-pub fn prove_cor_4_2(sys: &System, phi: &Phi, alpha: ObjId, beta: ObjId) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_4_2_with(&oracle, phi, alpha, beta)
-}
-
-/// [`prove_cor_4_2`] against a prepared [`Oracle`].
-pub fn prove_cor_4_2_with(
+pub fn prove_cor_4_2(
     oracle: &Oracle,
     phi: &Phi,
     alpha: ObjId,
@@ -399,21 +383,12 @@ fn op_sinks_kernel(
 ///
 /// This is the engine behind Security-Problem style proofs, with
 /// `q(x, y) ≡ Cls(x) ≤ Cls(y)`.
+///
+/// The per-`(operation, source)` sink sets are computed in parallel over
+/// the Oracle's successor rows, then checked against q in the sequential
+/// sweep order, so the reported first violation is the same as a
+/// one-at-a-time sweep's.
 pub fn prove_cor_4_3(
-    sys: &System,
-    phi: &Phi,
-    q: &dyn Fn(ObjId, ObjId) -> bool,
-    q_name: &str,
-) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_4_3_with(&oracle, phi, q, q_name)
-}
-
-/// [`prove_cor_4_3`] against a prepared [`Oracle`]: the per-`(operation,
-/// source)` sink sets are computed in parallel over compiled successor
-/// rows, then checked against q in the sequential sweep order, so the
-/// reported first violation is identical.
-pub fn prove_cor_4_3_with(
     oracle: &Oracle,
     phi: &Phi,
     q: &dyn Fn(ObjId, ObjId) -> bool,
@@ -503,25 +478,14 @@ pub fn prove_cor_4_3_with(
 
 /// Corollary 6-5: for arbitrary (possibly non-invariant) φ and β ∉ A,
 /// the Cor 5-6 disjunction checked over *every* reachable `[H]φ` proves
-/// `¬A ▷φ β`.
-pub fn prove_cor_6_5(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_6_5_with(&oracle, phi, a, beta)
-}
-
-/// [`prove_cor_6_5`] against a prepared [`Oracle`]: image enumeration and
-/// the disjunction over all images share one compile.
-pub fn prove_cor_6_5_with(
-    oracle: &Oracle,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-) -> Result<ProofOutcome> {
+/// `¬A ▷φ β`. Image enumeration and the disjunction over all images
+/// share the Oracle's one compile.
+pub fn prove_cor_6_5(oracle: &Oracle, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
     let sys = oracle.system();
     if a.contains(beta) {
         return Ok(ProofOutcome::Inapplicable("β ∈ A".into()));
     }
-    let images = crate::after::reachable_images_with(oracle, phi)?;
+    let images = crate::after::reachable_images(oracle, phi)?;
     let mut cert = Certificate::new(
         "Corollary 6-5",
         format!(
@@ -736,7 +700,7 @@ mod tests {
         let b = u.obj("beta").unwrap();
         let m = u.obj("m").unwrap();
         let phi = Phi::expr(Expr::var(m).not());
-        let out = prove_cor_4_2(&sys, &phi, a, b).unwrap();
+        let out = prove_cor_4_2(&Oracle::new(&sys).unwrap(), &phi, a, b).unwrap();
         let cert = out.certificate().expect("should prove");
         assert!(cert.facts.contains(&Fact::Autonomous));
         // Cross-check against the exact oracle.
@@ -749,7 +713,7 @@ mod tests {
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
-        let out = prove_cor_4_2(&sys, &Phi::True, a, b).unwrap();
+        let out = prove_cor_4_2(&Oracle::new(&sys).unwrap(), &Phi::True, a, b).unwrap();
         assert!(!out.is_proved());
         // And indeed the flow exists.
         assert!(exact_depends(&sys, &Phi::True, &ObjSet::singleton(a), b).is_some());
@@ -762,7 +726,7 @@ mod tests {
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
         let phi = Phi::expr(Expr::var(a).eq(Expr::var(b)));
-        let out = prove_cor_4_2(&sys, &phi, a, b).unwrap();
+        let out = prove_cor_4_2(&Oracle::new(&sys).unwrap(), &phi, a, b).unwrap();
         assert_eq!(out.reason(), Some("φ is not autonomous"));
     }
 
@@ -798,10 +762,11 @@ mod tests {
         assert!(classify::is_invariant(&sys, &phi).unwrap());
         assert!(!classify::is_autonomous(&sys, &phi).unwrap());
         // β does flow from α here, so the proof must fail…
-        let out = prove_cor_5_6(&sys, &phi, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_cor_5_6(&oracle, &phi, &ObjSet::singleton(a), b).unwrap();
         assert!(!out.is_proved());
         // …but {β} is genuinely isolated as a source: nothing reads β.
-        let out2 = prove_cor_5_6(&sys, &phi, &ObjSet::singleton(b), m1).unwrap();
+        let out2 = prove_cor_5_6(&oracle, &phi, &ObjSet::singleton(b), m1).unwrap();
         assert!(out2.is_proved(), "{:?}", out2.reason());
         assert!(exact_depends(&sys, &phi, &ObjSet::singleton(b), m1).is_none());
     }
@@ -811,7 +776,8 @@ mod tests {
         let sys = guarded_copy();
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
-        let out = prove_cor_5_6(&sys, &Phi::True, &ObjSet::singleton(a), a).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_cor_5_6(&oracle, &Phi::True, &ObjSet::singleton(a), a).unwrap();
         assert_eq!(out.reason(), Some("β ∈ A"));
     }
 
@@ -825,7 +791,7 @@ mod tests {
         let m = u.obj("m").unwrap();
         let phi = Phi::expr(Expr::var(m).not());
         let q = |x: ObjId, y: ObjId| x == y;
-        let out = prove_cor_4_3(&sys, &phi, &q, "identity").unwrap();
+        let out = prove_cor_4_3(&Oracle::new(&sys).unwrap(), &phi, &q, "identity").unwrap();
         assert!(out.is_proved(), "{:?}", out.reason());
     }
 
@@ -839,7 +805,7 @@ mod tests {
         let phi = Phi::expr(Expr::var(m).not());
         // q relating a→b and b→m but not a→m is not transitive.
         let q = move |x: ObjId, y: ObjId| x == y || (x == a && y == b) || (x == b && y == m);
-        let out = prove_cor_4_3(&sys, &phi, &q, "broken").unwrap();
+        let out = prove_cor_4_3(&Oracle::new(&sys).unwrap(), &phi, &q, "broken").unwrap();
         assert!(out.reason().unwrap().contains("not transitive"));
     }
 
@@ -867,11 +833,12 @@ mod tests {
         );
         let phi = Phi::expr(Expr::var(a).eq(Expr::int(37)));
         assert!(!classify::is_invariant(&sys, &phi).unwrap());
-        let out = prove_cor_6_5(&sys, &phi, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_cor_6_5(&oracle, &phi, &ObjSet::singleton(a), b).unwrap();
         assert!(out.is_proved(), "{:?}", out.reason());
         assert!(exact_depends(&sys, &phi, &ObjSet::singleton(a), b).is_none());
         // Cor 5-6 is inapplicable here (φ not invariant).
-        let weak = prove_cor_5_6(&sys, &phi, &ObjSet::singleton(a), b).unwrap();
+        let weak = prove_cor_5_6(&oracle, &phi, &ObjSet::singleton(a), b).unwrap();
         assert!(!weak.is_proved());
     }
 
@@ -888,9 +855,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_oracle_provers_match_free_functions() {
+    fn shared_oracle_provers_match_fresh_oracles() {
         // One Oracle discharging all four provers must compile exactly
-        // once and agree with the per-call entry points.
+        // once and agree with a fresh Oracle per call.
         let sys = guarded_copy();
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
@@ -899,16 +866,17 @@ mod tests {
         let phi = Phi::expr(Expr::var(m).not());
         let oracle = Oracle::new(&sys).unwrap();
         let shared = [
-            prove_cor_4_2_with(&oracle, &phi, a, b).unwrap(),
-            prove_cor_5_6_with(&oracle, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_6_5_with(&oracle, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_4_3_with(&oracle, &phi, &|x, y| x == y, "identity").unwrap(),
+            prove_cor_4_2(&oracle, &phi, a, b).unwrap(),
+            prove_cor_5_6(&oracle, &phi, &ObjSet::singleton(a), b).unwrap(),
+            prove_cor_6_5(&oracle, &phi, &ObjSet::singleton(a), b).unwrap(),
+            prove_cor_4_3(&oracle, &phi, &|x, y| x == y, "identity").unwrap(),
         ];
+        let fresh = || Oracle::new(&sys).unwrap();
         let free = [
-            prove_cor_4_2(&sys, &phi, a, b).unwrap(),
-            prove_cor_5_6(&sys, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_6_5(&sys, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_4_3(&sys, &phi, &|x, y| x == y, "identity").unwrap(),
+            prove_cor_4_2(&fresh(), &phi, a, b).unwrap(),
+            prove_cor_5_6(&fresh(), &phi, &ObjSet::singleton(a), b).unwrap(),
+            prove_cor_6_5(&fresh(), &phi, &ObjSet::singleton(a), b).unwrap(),
+            prove_cor_4_3(&fresh(), &phi, &|x, y| x == y, "identity").unwrap(),
         ];
         for (s, f) in shared.iter().zip(&free) {
             assert_eq!(s.is_proved(), f.is_proved());

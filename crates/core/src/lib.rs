@@ -62,7 +62,7 @@ pub mod universe;
 pub mod value;
 pub mod worth;
 
-pub use crate::compiled::{CompileBudget, CompiledSystem, Engine, TableKind};
+pub use crate::compiled::{CompileBudget, Engine};
 pub use crate::constraint::{Phi, StateSet};
 pub use crate::error::{Error, Result};
 pub use crate::expr::{BinOp, Expr};

@@ -7,8 +7,8 @@
 //! system and re-enumerated Sat(φ) per call; an [`Oracle`] pins those
 //! system-wide artefacts in one place instead:
 //!
-//! - the [`CompiledSystem`] successor tables, built **once** at
-//!   construction (or not at all when the engine falls back to the
+//! - the compiled successor tables ([`crate::compiled`]), built **once**
+//!   at construction (or not at all when the engine falls back to the
 //!   interpreter — see below). A sparse system's row store lives in the
 //!   compiled system itself, so every pair search and every op-kernel
 //!   sweep of [`crate::induction`], [`crate::classify`] and
@@ -25,23 +25,33 @@
 //!   with no poison entry, every operation a command), so queries the
 //!   cone already decides answer "no flow" without searching.
 //!
-//! An Oracle answers nothing by itself: [`crate::query::Query::run`]
-//! asks it questions, and one-shot [`crate::query::Query::run_on`] runs
-//! build a short-lived Oracle per call, so there is exactly one code
-//! path. The provers ([`crate::solve`], [`crate::cover`],
-//! [`crate::induction`]) hold one Oracle across their whole run, which is
-//! where the compile-once payoff lands.
+//! The Oracle is the one place where a system's engine, compile budget
+//! and shared artefacts are chosen. An Oracle answers nothing by itself:
+//! [`crate::query::Query::run`] asks it questions, and one-shot
+//! [`crate::query::Query::run_on`] runs build a short-lived Oracle per
+//! call, so there is exactly one code path. Every prover
+//! ([`crate::solve`], [`crate::cover`], [`crate::induction`],
+//! [`crate::after`]) takes an `&Oracle` and holds it across its whole
+//! run, which is where the compile-once payoff lands; a caller with only
+//! a system passes `&Oracle::new(&sys)?`.
 //!
 //! # When does an Oracle interpret instead of compiling?
 //!
-//! [`Engine::Interpreted`] never compiles. [`Engine::Auto`] compiles
-//! unless the state space has ≥ 2³² states (packed `u64` pair keys no
-//! longer fit); in that case every search runs on the interpreted
-//! reference engine and [`OracleStats::compiles`] stays 0. Within the
-//! compiled regime, `Auto` picks dense tables when they fit the
-//! [`CompileBudget`] and lazy sparse rows otherwise — or when the φ the
-//! Oracle was built for (one-shot [`crate::query::Query::run_on`] runs
-//! build theirs for the query's φ) has a thin satisfying set.
+//! One function, `choose_tables`, makes the decision from the engine,
+//! |Σ|, |Δ|, the [`CompileBudget`] and, for one-shot
+//! [`crate::query::Query::run_on`] runs, the size of the query's Sat(φ):
+//!
+//! - [`Engine::Interpreted`] never compiles, and neither does
+//!   [`Engine::Auto`] on ≥ 2³² − 1 states (packed `u64` pair keys no
+//!   longer fit). Every search then runs on the interpreted reference
+//!   engine and [`OracleStats::compiles`] stays 0. Pinning a compiled
+//!   engine on such a system is an error.
+//! - [`Engine::CompiledDense`] and [`Engine::CompiledSparse`] get the
+//!   layout they name.
+//! - [`Engine::Auto`] picks lazy sparse rows when the φ the Oracle was
+//!   built for has a thin satisfying set (|Sat(φ)| · 16 < |Σ|), dense
+//!   tables when |Σ| · max(|Δ|, 1) fits
+//!   [`CompileBudget::max_dense_entries`], and sparse rows otherwise.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -60,6 +70,50 @@ use crate::reach::{
 use crate::system::System;
 use crate::telemetry::{QueryEvent, QueryReport, Sink, Trace};
 use crate::universe::{ObjId, ObjSet};
+
+/// State spaces at or above this size cannot use packed `u64` pair keys,
+/// so they get no compiled tables.
+const MAX_COMPILED_STATES: u64 = u32::MAX as u64;
+
+/// When Sat(φ) is at most `1/AUTO_SPARSE_SAT_RATIO` of the state space,
+/// [`Engine::Auto`] prefers lazy sparse tables even if dense tables fit
+/// the budget: a thin satisfying slice usually means the pair search
+/// touches a correspondingly thin reachable region, and materialising
+/// dense successor rows for *every* state would cost more than the search
+/// itself.
+const AUTO_SPARSE_SAT_RATIO: u64 = 16;
+
+/// The table policy: which successor tables an Oracle over `states`
+/// states and `ops` operations builds under `engine` and `budget`.
+/// `sat_hint` is |Sat(φ)| when the Oracle is built for one φ. `None`
+/// means no tables: every search interprets.
+pub(crate) fn choose_tables(
+    engine: Engine,
+    states: u64,
+    ops: usize,
+    sat_hint: Option<u64>,
+    budget: &CompileBudget,
+) -> Result<Option<TableKind>> {
+    if states >= MAX_COMPILED_STATES {
+        return match engine {
+            Engine::Interpreted | Engine::Auto => Ok(None),
+            Engine::CompiledDense | Engine::CompiledSparse => Err(Error::Invalid(format!(
+                "state space of {states} states exceeds the compiled pair-key range"
+            ))),
+        };
+    }
+    let thin = |sat: u64| sat.saturating_mul(AUTO_SPARSE_SAT_RATIO) < states;
+    Ok(match engine {
+        Engine::Interpreted => None,
+        Engine::CompiledDense => Some(TableKind::Dense),
+        Engine::CompiledSparse => Some(TableKind::Sparse),
+        Engine::Auto if sat_hint.is_some_and(thin) => Some(TableKind::Sparse),
+        Engine::Auto if states.saturating_mul(ops.max(1) as u64) <= budget.max_dense_entries => {
+            Some(TableKind::Dense)
+        }
+        Engine::Auto => Some(TableKind::Sparse),
+    })
+}
 
 /// Counters describing the work an [`Oracle`] has performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,16 +245,13 @@ impl<'s> Oracle<'s> {
         Oracle::build(sys, engine, budget, None, Some(sink))
     }
 
-    /// An Oracle tuned for queries under one constraint: Sat(φ) is
-    /// enumerated up front (and interned), and [`Engine::Auto`] refines
-    /// on its thinness exactly like the one-shot search paths. This is
-    /// what one-shot [`crate::query::Query::run_on`] runs construct per
-    /// call.
+    /// An [`Engine::Auto`] Oracle with the default budget, tuned for
+    /// queries under one constraint: Sat(φ) is enumerated up front (and
+    /// interned), and the table choice weighs its thinness. This is what
+    /// one-shot [`crate::query::Query::run_on`] runs construct per call.
     pub(crate) fn for_phi(
         sys: &'s System,
         phi: &Phi,
-        engine: Engine,
-        budget: &CompileBudget,
         sink: Option<Arc<dyn Sink>>,
     ) -> Result<Oracle<'s>> {
         let codes = Arc::new(depend::sat_codes(sys, phi)?);
@@ -209,7 +260,13 @@ impl<'s> Oracle<'s> {
                 states: codes.len() as u64,
             });
         }
-        let oracle = Oracle::build(sys, engine, budget, Some(codes.len() as u64), sink)?;
+        let oracle = Oracle::build(
+            sys,
+            Engine::Auto,
+            &CompileBudget::default(),
+            Some(codes.len() as u64),
+            sink,
+        )?;
         {
             let mut cache = oracle.sat_cache.lock().expect("sat cache lock");
             let hash = cache.hash(phi);
@@ -225,30 +282,26 @@ impl<'s> Oracle<'s> {
         sat_hint: Option<u64>,
         sink: Option<Arc<dyn Sink>>,
     ) -> Result<Oracle<'s>> {
-        let ns = sys.state_count()?;
-        let compiled = if reach::wants_interpreter(engine, ns) {
-            None
-        } else if ns >= reach::MAX_COMPILED_STATES {
-            return Err(Error::Invalid(format!(
-                "state space of {ns} states exceeds the compiled pair-key range"
-            )));
-        } else {
-            let engine = reach::refine_auto(engine, sat_hint.unwrap_or(ns), ns);
-            if let Some(s) = &sink {
-                s.record(&QueryEvent::CompileStart {
-                    states: ns,
-                    ops: sys.num_ops() as u64,
-                });
+        let (ns, ops) = (sys.state_count()?, sys.num_ops());
+        let compiled = match choose_tables(engine, ns, ops, sat_hint, budget)? {
+            None => None,
+            Some(kind) => {
+                if let Some(s) = &sink {
+                    s.record(&QueryEvent::CompileStart {
+                        states: ns,
+                        ops: ops as u64,
+                    });
+                }
+                let start = std::time::Instant::now();
+                let cs = CompiledSystem::compile(sys, kind)?;
+                if let Some(s) = &sink {
+                    s.record(&QueryEvent::CompileFinish {
+                        kind: kind.engine_name(),
+                        wall_ns: start.elapsed().as_nanos() as u64,
+                    });
+                }
+                Some(cs)
             }
-            let start = std::time::Instant::now();
-            let cs = CompiledSystem::compile(sys, engine, budget)?;
-            if let Some(s) = &sink {
-                s.record(&QueryEvent::CompileFinish {
-                    kind: cs.kind().engine_name(),
-                    wall_ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            Some(cs)
         };
         let compiles = u64::from(compiled.is_some());
         let cones = match &compiled {
@@ -293,17 +346,6 @@ impl<'s> Oracle<'s> {
     pub fn phi_interned(&self, phi: &Phi) -> bool {
         let cache = self.sat_cache.lock().expect("sat cache lock");
         cache.get(cache.hash(phi), phi).is_some()
-    }
-
-    /// The engine label searches through this Oracle report.
-    pub(crate) fn engine_name(&self) -> &'static str {
-        self.table_kind()
-            .map_or("interpreted", |kind| kind.engine_name())
-    }
-
-    /// Table layout of the compiled system, `None` when interpreted.
-    pub(crate) fn table_kind(&self) -> Option<TableKind> {
-        self.compiled.as_ref().map(|cs| cs.kind())
     }
 
     /// The interned `Sat(φ)` enumeration (ascending state codes),
@@ -574,6 +616,94 @@ mod tests {
         assert_eq!(cache.len, 2);
         assert!(Arc::ptr_eq(&cache.get(7, &q).unwrap(), &cq));
         assert!(cache.get(8, &q).is_none());
+    }
+
+    /// Every row of the table policy, with |Σ| at and beyond the
+    /// compiled pair-key range for `Auto` and both pinned engines. The
+    /// inputs are plain numbers: no system that large is built.
+    #[test]
+    fn table_policy_covers_every_rule() {
+        use Engine::{Auto, CompiledDense, CompiledSparse, Interpreted};
+        use TableKind::{Dense, Sparse};
+        let default = CompileBudget::default();
+        let zero = CompileBudget {
+            max_dense_entries: 0,
+            ..default
+        };
+        let b64 = CompileBudget {
+            max_dense_entries: 64,
+            ..default
+        };
+        const LIMIT: u64 = u32::MAX as u64; // 2³² − 1
+        const BIG: u64 = 3u64.pow(20); // just below LIMIT
+        type Row = (
+            Engine,
+            u64,
+            usize,
+            Option<u64>,
+            CompileBudget,
+            Option<TableKind>,
+        );
+        let rows: [Row; 17] = [
+            // Interpreted: never any tables.
+            (Interpreted, 8, 2, None, default, None),
+            (Interpreted, 1 << 40, 2, Some(1), default, None),
+            // Auto beyond the pair-key range: interpret, whatever φ is.
+            (Auto, LIMIT, 3, None, default, None),
+            (Auto, 1 << 32, 3, Some(1), default, None),
+            // Pinned engines get the layout they name, whatever the
+            // budget or φ.
+            (CompiledDense, 8, 2, Some(0), zero, Some(Dense)),
+            (CompiledSparse, 8, 2, None, default, Some(Sparse)),
+            (CompiledSparse, BIG, 2, None, default, Some(Sparse)),
+            // Auto with a thin Sat(φ): |Sat| · 16 < |Σ| ⇒ sparse.
+            (Auto, 1024, 4, Some(63), default, Some(Sparse)),
+            (Auto, 1024, 4, Some(64), default, Some(Dense)),
+            (Auto, BIG, 0, Some(0), default, Some(Sparse)),
+            // Auto otherwise: dense iff |Σ| · max(|Δ|, 1) fits the budget.
+            (Auto, BIG, 2, Some(BIG), default, Some(Sparse)),
+            (Auto, 16, 4, None, b64, Some(Dense)),
+            (Auto, 16, 5, None, b64, Some(Sparse)),
+            (Auto, 64, 0, None, b64, Some(Dense)),
+            (Auto, 65, 0, None, b64, Some(Sparse)),
+            (Auto, 8, 2, None, zero, Some(Sparse)),
+            (Auto, 8, 2, None, default, Some(Dense)),
+        ];
+        for (engine, states, ops, sat, budget, want) in rows {
+            let got = choose_tables(engine, states, ops, sat, &budget).unwrap();
+            assert_eq!(
+                got, want,
+                "{engine:?} on {states} states, {ops} ops, sat {sat:?}"
+            );
+        }
+        // Pinned compiled engines beyond the pair-key range are refused.
+        for engine in [CompiledDense, CompiledSparse] {
+            for states in [LIMIT, 1 << 32, 1 << 40] {
+                let err = choose_tables(engine, states, 3, None, &default).unwrap_err();
+                let want =
+                    format!("state space of {states} states exceeds the compiled pair-key range");
+                assert!(matches!(&err, Error::Invalid(m) if *m == want), "{err}");
+            }
+        }
+    }
+
+    /// Table layout an Oracle built, `None` when it interprets.
+    fn table_kind(oracle: &Oracle) -> Option<TableKind> {
+        oracle.compiled.as_ref().map(|cs| cs.kind())
+    }
+
+    #[test]
+    fn auto_respects_budget() {
+        // copy_system(8): 64 states and one operation.
+        let sys = examples::copy_system(8).unwrap();
+        let tiny = CompileBudget {
+            max_dense_entries: 4,
+            ..CompileBudget::default()
+        };
+        let lean = Oracle::with_engine(&sys, Engine::Auto, &tiny).unwrap();
+        assert_eq!(table_kind(&lean), Some(TableKind::Sparse));
+        let full = Oracle::new(&sys).unwrap();
+        assert_eq!(table_kind(&full), Some(TableKind::Dense));
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //!
 //! A [`Query`] names a constraint φ and a source set A, a target (a
 //! single object β, a set B, or "all sinks"), and optional tuning
-//! (engine, compile budget, history-length bound, search limits,
-//! telemetry sink). It is the one public way to ask: it runs either
-//! one-shot ([`Query::run_on`] — builds a short-lived [`Oracle`] per
-//! call) or against a shared [`Oracle`] ([`Query::run`] — compile once,
-//! query many times). Both return a [`QueryOutcome`]: the answer and the
+//! (history-length bound, search limits, telemetry sink). It is the one
+//! public way to ask: it runs either one-shot ([`Query::run_on`] —
+//! builds a short-lived [`Oracle`] per call) or against a shared
+//! [`Oracle`] ([`Query::run`] — compile once, query many times). A query
+//! only asks; the Oracle decides how: to pin an engine or a compile
+//! budget, build the Oracle with [`Oracle::with_engine`] and call
+//! [`Query::run`]. Both return a [`QueryOutcome`]: the answer and the
 //! per-query [`QueryReport`] cost accounting, the one record of what the
 //! search did.
 //!
@@ -47,7 +49,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::compiled::{CompileBudget, Engine, TableKind};
 use crate::cone;
 use crate::constraint::Phi;
 use crate::depend::SatPartition;
@@ -81,8 +82,6 @@ pub struct Query {
     a: ObjSet,
     target: Target,
     bound: Option<usize>,
-    engine: Engine,
-    budget: CompileBudget,
     limits: SearchLimits,
     sink: Option<Arc<dyn Sink>>,
 }
@@ -163,8 +162,6 @@ impl Query {
             a,
             target: Target::Sinks,
             bound: None,
-            engine: Engine::Auto,
-            budget: CompileBudget::default(),
             limits: SearchLimits::NONE,
             sink: None,
         }
@@ -208,21 +205,6 @@ impl Query {
         self
     }
 
-    /// Pins the search engine (default [`Engine::Auto`]). When running
-    /// against a shared [`Oracle`], the pinned engine must match the
-    /// Oracle's configuration.
-    pub fn engine(mut self, engine: Engine) -> Query {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the compile budget for one-shot runs (ignored by
-    /// [`Query::run`], which uses the Oracle's budget).
-    pub fn budget(mut self, budget: CompileBudget) -> Query {
-        self.budget = budget;
-        self
-    }
-
     /// Caps the pair search at `max_pairs` discovered pairs; exceeding
     /// it returns [`Error::BudgetExhausted`]. Both engines discover
     /// pairs in the same order, so the budget trips identically on
@@ -256,9 +238,9 @@ impl Query {
     }
 
     /// A canonical 64-bit fingerprint of the query's *semantic* content:
-    /// φ, A, the target shape, the history bound, and the pinned engine.
-    /// Tuning that cannot change a successful answer (compile budget,
-    /// search limits, telemetry sink) is excluded, which is what makes
+    /// φ, A, the target shape and the history bound. Tuning that cannot
+    /// change a successful answer (search limits, telemetry sink) is
+    /// excluded, which is what makes
     /// the fingerprint usable as a result-cache key: a query that
     /// *completes* returns the same answer under any limits.
     ///
@@ -299,12 +281,6 @@ impl Query {
                 h.write_u64(n as u64);
             }
         }
-        h.write_u8(match self.engine {
-            Engine::Auto => 0,
-            Engine::Interpreted => 1,
-            Engine::CompiledDense => 2,
-            Engine::CompiledSparse => 3,
-        });
         Some(h.digest())
     }
 
@@ -337,6 +313,8 @@ impl Query {
 
     /// Runs one-shot: builds a short-lived [`Oracle`] for this query
     /// (one compile, one Sat(φ) enumeration) and executes against it.
+    /// The Oracle runs [`crate::Engine::Auto`] with the default budget,
+    /// and its table choice weighs the size of Sat(φ).
     pub fn run_on(&self, sys: &System) -> Result<QueryOutcome> {
         // Shortcuts that never need an oracle — identical to the
         // historical free-function behaviour of returning before any
@@ -345,31 +323,14 @@ impl Query {
         if let Some(out) = self.trivial_outcome() {
             return Ok(out);
         }
-        let oracle = Oracle::for_phi(sys, &self.phi, self.engine, &self.budget, self.sink.clone())?;
+        let oracle = Oracle::for_phi(sys, &self.phi, self.sink.clone())?;
         self.run_with(&oracle, true)
     }
 
     /// Runs against a shared [`Oracle`], reusing its compiled tables,
-    /// interned Sat(φ) enumerations and buffer pool.
-    ///
-    /// The query's engine must be compatible with the Oracle:
-    /// [`Engine::Auto`] (the default) always is; a pinned engine must
-    /// match what the Oracle was built with.
+    /// interned Sat(φ) enumerations and buffer pool, on whatever engine
+    /// and budget the Oracle was built with.
     pub fn run(&self, oracle: &Oracle<'_>) -> Result<QueryOutcome> {
-        let compatible = match self.engine {
-            Engine::Auto => true,
-            Engine::Interpreted => oracle.table_kind().is_none(),
-            Engine::CompiledDense => oracle.table_kind() == Some(TableKind::Dense),
-            Engine::CompiledSparse => oracle.table_kind() == Some(TableKind::Sparse),
-        };
-        if !compatible {
-            return Err(Error::Invalid(format!(
-                "query pins engine {:?} but the shared Oracle runs {}; \
-                 build the Oracle with that engine or use Query::run_on",
-                self.engine,
-                oracle.engine_name(),
-            )));
-        }
         self.validate(oracle.system().universe())?;
         if let Some(out) = self.trivial_outcome() {
             return Ok(out);
@@ -521,24 +482,6 @@ mod tests {
         assert!(out.report.fresh_compile);
         assert!(!out.report.partition_cached);
         assert!(out.report.visited_pairs > 0);
-    }
-
-    #[test]
-    fn pinned_engine_must_match_shared_oracle() {
-        let sys = sys3();
-        let u = sys.universe();
-        let a = ObjSet::singleton(u.obj("alpha").unwrap());
-        let oracle =
-            Oracle::with_engine(&sys, Engine::Interpreted, &CompileBudget::default()).unwrap();
-        let err = Query::new(Phi::True, a.clone())
-            .engine(Engine::CompiledDense)
-            .run(&oracle)
-            .unwrap_err();
-        assert!(matches!(err, Error::Invalid(_)));
-        let ok = Query::new(Phi::True, a)
-            .engine(Engine::Interpreted)
-            .run(&oracle);
-        assert!(ok.is_ok());
     }
 
     #[test]

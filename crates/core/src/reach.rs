@@ -7,7 +7,7 @@
 //! This module implements that product-automaton BFS, with witness
 //! reconstruction (the actual history H and state pair).
 //!
-//! Two engines run the same search (selected by [`Engine`]):
+//! Two engines run the same search (selected by [`Engine`](crate::Engine)):
 //!
 //! - **Interpreted** — the reference implementation: every pair expansion
 //!   decodes both states, walks the operation ASTs, and re-encodes.
@@ -47,7 +47,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::bitset::BitSet;
-use crate::compiled::{par_map_chunks, CompileBudget, CompiledSystem, Engine, TableKind, POISON};
+use crate::compiled::{par_map_chunks, CompileBudget, CompiledSystem, TableKind, POISON};
 use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::fastmap::U64Set;
@@ -545,37 +545,6 @@ pub(crate) fn compiled_search(
     finish(trace, nodes.len(), levels, None)
 }
 
-/// State spaces at or above this size cannot use packed `u64` pair keys;
-/// [`Engine::Auto`] falls back to the interpreted engine there.
-pub(crate) const MAX_COMPILED_STATES: u64 = u32::MAX as u64;
-
-pub(crate) fn wants_interpreter(engine: Engine, ns: u64) -> bool {
-    match engine {
-        Engine::Interpreted => true,
-        Engine::Auto => ns >= MAX_COMPILED_STATES,
-        Engine::CompiledDense | Engine::CompiledSparse => false,
-    }
-}
-
-/// When Sat(φ) is at most `1/AUTO_SPARSE_SAT_RATIO` of the state space,
-/// [`Engine::Auto`] prefers lazy sparse tables even if dense tables fit
-/// the budget: a thin satisfying slice usually means the pair search
-/// touches a correspondingly thin reachable region, and materialising
-/// dense successor rows for *every* state would cost more than the search
-/// itself.
-const AUTO_SPARSE_SAT_RATIO: u64 = 16;
-
-/// Refines [`Engine::Auto`] with the size of Sat(φ) (see
-/// [`AUTO_SPARSE_SAT_RATIO`]); other engines pass through unchanged.
-pub(crate) fn refine_auto(engine: Engine, sat_states: u64, ns: u64) -> Engine {
-    match engine {
-        Engine::Auto if sat_states.saturating_mul(AUTO_SPARSE_SAT_RATIO) < ns => {
-            Engine::CompiledSparse
-        }
-        e => e,
-    }
-}
-
 /// Precomputed `(stride, domain size)` for extracting one object's index
 /// from an encoded state without decoding.
 pub(crate) fn extractor(u: &Universe, obj: ObjId) -> (u64, u64) {
@@ -585,10 +554,12 @@ pub(crate) fn extractor(u: &Universe, obj: ObjId) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::Engine;
     use crate::constraint::Phi;
     use crate::expr::Expr;
     use crate::op::{Cmd, Op};
-    use crate::query::Query;
+    use crate::oracle::Oracle;
+    use crate::query::{Query, QueryOutcome};
     use crate::universe::{Domain, ObjSet, Universe};
 
     const ENGINES: [Engine; 4] = [
@@ -601,6 +572,12 @@ mod tests {
     /// Shorthand: a β-target query on cloned inputs.
     fn q(phi: &Phi, a: &ObjSet, beta: ObjId) -> Query {
         Query::new(phi.clone(), a.clone()).beta(beta)
+    }
+
+    /// Runs `query` on a fresh Oracle pinned to `engine`.
+    fn run_pinned(sys: &System, query: &Query, engine: Engine) -> QueryOutcome {
+        let oracle = Oracle::with_engine(sys, engine, &CompileBudget::default()).unwrap();
+        query.run(&oracle).unwrap()
     }
 
     /// §3.3 system: δ1: if flag then β ← α else β ← 0;
@@ -744,10 +721,7 @@ mod tests {
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
         for engine in ENGINES {
-            let w = q(&Phi::True, &ObjSet::singleton(a), b)
-                .engine(engine)
-                .run_on(&sys)
-                .unwrap()
+            let w = run_pinned(&sys, &q(&Phi::True, &ObjSet::singleton(a), b), engine)
                 .into_witness()
                 .unwrap();
             assert_eq!(w.history.len(), 1, "flag=true states allow a 1-step flow");
@@ -765,32 +739,19 @@ mod tests {
                 Phi::True,
                 Phi::expr(Expr::var(u.obj("flag").unwrap()).not()),
             ] {
-                let reference = q(&phi, &a, b)
-                    .engine(Engine::Interpreted)
-                    .run_on(&sys)
-                    .unwrap()
+                let sinks = Query::new(phi.clone(), a.clone());
+                let reference = run_pinned(&sys, &q(&phi, &a, b), Engine::Interpreted)
                     .into_witness()
                     .map(|w| (w.history, w.sigma1, w.sigma2));
-                let ref_sinks = Query::new(phi.clone(), a.clone())
-                    .engine(Engine::Interpreted)
-                    .run_on(&sys)
-                    .unwrap()
+                let ref_sinks = run_pinned(&sys, &sinks, Engine::Interpreted)
                     .into_sinks()
                     .unwrap();
                 for engine in [Engine::Auto, Engine::CompiledDense, Engine::CompiledSparse] {
-                    let got = q(&phi, &a, b)
-                        .engine(engine)
-                        .run_on(&sys)
-                        .unwrap()
+                    let got = run_pinned(&sys, &q(&phi, &a, b), engine)
                         .into_witness()
                         .map(|w| (w.history, w.sigma1, w.sigma2));
                     assert_eq!(got, reference, "depends mismatch for {src} / {engine:?}");
-                    let got_sinks = Query::new(phi.clone(), a.clone())
-                        .engine(engine)
-                        .run_on(&sys)
-                        .unwrap()
-                        .into_sinks()
-                        .unwrap();
+                    let got_sinks = run_pinned(&sys, &sinks, engine).into_sinks().unwrap();
                     assert_eq!(
                         got_sinks, ref_sinks,
                         "sinks mismatch for {src} / {engine:?}"
@@ -805,13 +766,8 @@ mod tests {
         let sys = flag_sys();
         let u = sys.universe();
         let sources: Vec<ObjSet> = u.objects().map(ObjSet::singleton).collect();
-        let budget = CompileBudget::default();
         for engine in ENGINES {
-            let rows = Query::matrix(Phi::True, sources.clone())
-                .engine(engine)
-                .budget(budget)
-                .run_on(&sys)
-                .unwrap()
+            let rows = run_pinned(&sys, &Query::matrix(Phi::True, sources.clone()), engine)
                 .into_rows()
                 .unwrap();
             for (src, row) in sources.iter().zip(&rows) {
@@ -891,7 +847,7 @@ mod tests {
             (Engine::CompiledDense, "compiled-dense"),
             (Engine::CompiledSparse, "compiled-sparse"),
         ] {
-            let out = q(&Phi::True, &a, b).engine(engine).run_on(&sys).unwrap();
+            let out = run_pinned(&sys, &q(&Phi::True, &a, b), engine);
             let report = out.report;
             assert_eq!(report.engine, name);
             assert!(report.visited_pairs > 0);
@@ -913,7 +869,7 @@ mod tests {
         let ns = sys.state_count().unwrap();
         let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
         let (_, (_, visited, levels)) = run_interpreted(&sys, &part, u32::MAX, |_, _| false);
-        let cs = CompiledSystem::compile(&sys, Engine::CompiledDense, &budget).unwrap();
+        let cs = CompiledSystem::compile(&sys, TableKind::Dense).unwrap();
         let mut bufs = SearchBuffers::new(ns, &budget);
         let (_, (_, c_visited, c_levels)) =
             run_compiled(&cs, &part, &mut bufs, u32::MAX, |_, _| false);
@@ -931,8 +887,8 @@ mod tests {
         let a = ObjSet::singleton(u.obj("x").unwrap());
         let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
         let full = run_interpreted(&sys, &part, u32::MAX, |_, _| false).1;
-        for engine in [Engine::CompiledDense, Engine::CompiledSparse] {
-            let cs = CompiledSystem::compile(&sys, engine, &budget).unwrap();
+        for kind in [TableKind::Dense, TableKind::Sparse] {
+            let cs = CompiledSystem::compile(&sys, kind).unwrap();
             let mut bufs = SearchBuffers::new(ns, &budget);
             for k in 0..=full.2 + 1 {
                 let (_, (_, visited, levels)) = run_interpreted(&sys, &part, k, |_, _| false);
@@ -944,7 +900,7 @@ mod tests {
                 assert_eq!(
                     (c_visited, c_levels),
                     (visited, levels),
-                    "{engine:?} depth {k}"
+                    "{kind:?} depth {k}"
                 );
             }
         }
@@ -961,8 +917,8 @@ mod tests {
         let budget = CompileBudget::default();
         let ns = sys.state_count().unwrap();
         let (b_stride, b_dom) = extractor(u, b);
-        for engine in [Engine::CompiledDense, Engine::CompiledSparse] {
-            let cs = CompiledSystem::compile(&sys, engine, &budget).unwrap();
+        for kind in [TableKind::Dense, TableKind::Sparse] {
+            let cs = CompiledSystem::compile(&sys, kind).unwrap();
             let mut reused = SearchBuffers::new(ns, &budget);
             for _round in 0..3 {
                 for src in ["alpha", "beta", "flag", "x"] {
@@ -974,7 +930,7 @@ mod tests {
                     let mut fresh = SearchBuffers::new(ns, &budget);
                     let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, goal);
                     let got = run_compiled(&cs, &part, &mut reused, u32::MAX, goal);
-                    assert_eq!(got, want, "early exit diverges for {src} / {engine:?}");
+                    assert_eq!(got, want, "early exit diverges for {src} / {kind:?}");
                     // Exhaustive search.
                     let mut fresh = SearchBuffers::new(ns, &budget);
                     let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, |_, _| false);
@@ -997,10 +953,7 @@ mod tests {
         let (x, y) = (u.obj("x").unwrap(), u.obj("y").unwrap());
         let sys = System::new(u, Vec::new());
         for engine in ENGINES {
-            let out = q(&Phi::True, &ObjSet::singleton(x), y)
-                .engine(engine)
-                .run_on(&sys)
-                .unwrap();
+            let out = run_pinned(&sys, &q(&Phi::True, &ObjSet::singleton(x), y), engine);
             assert!(!out.holds(), "{engine:?}");
         }
     }
@@ -1017,7 +970,8 @@ mod tests {
             max_dense_entries: 0,
             max_dense_pair_bits: 0,
         };
-        let out = q(&Phi::True, &a, b).budget(tiny).run_on(&sys).unwrap();
+        let oracle = Oracle::with_engine(&sys, Engine::Auto, &tiny).unwrap();
+        let out = q(&Phi::True, &a, b).run(&oracle).unwrap();
         assert_eq!(out.report.engine, "compiled-sparse");
         assert!(out.holds());
     }

@@ -19,18 +19,6 @@ use crate::reach::SearchLimits;
 use crate::system::System;
 use crate::universe::{ObjId, ObjSet};
 
-/// Diagnostics from one maximal-solution construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Cylinder classes of the `=A=` partition examined.
-    pub classes: u64,
-    /// Times the system was compiled — always ≤ 1, because the whole
-    /// sweep shares one [`Oracle`].
-    pub compiles: u64,
-    /// Pair searches run (one per cylinder class).
-    pub searches: u64,
-}
-
 /// Constructs the unique maximal A-independent solution to
 /// `X(φ) ≡ ¬A ▷φ β ∧ φ A-independent`, as an extensional constraint.
 ///
@@ -41,40 +29,10 @@ pub struct SolveStats {
 /// cylinders is the unique maximal solution (this is Thm 3-1 made
 /// constructive).
 ///
-/// The system is compiled once; the per-cylinder searches run in
-/// parallel against the shared [`Oracle`] (see
-/// [`unique_maximal_independent_solution_stats`] for the counters).
+/// The per-cylinder searches run in parallel against the shared
+/// [`Oracle`], one search per class, so several solves (different
+/// sources/sinks) share one compile; [`Oracle::stats`] counts both.
 pub fn unique_maximal_independent_solution(
-    sys: &System,
-    sources: &ObjSet,
-    sink: ObjId,
-) -> Result<Phi> {
-    Ok(unique_maximal_independent_solution_stats(sys, sources, sink)?.0)
-}
-
-/// [`unique_maximal_independent_solution`], also reporting how much work
-/// the sweep did — in particular that the system was compiled exactly
-/// once for all cylinder classes.
-pub fn unique_maximal_independent_solution_stats(
-    sys: &System,
-    sources: &ObjSet,
-    sink: ObjId,
-) -> Result<(Phi, SolveStats)> {
-    let oracle = Oracle::new(sys)?;
-    let phi = unique_maximal_independent_solution_with(&oracle, sources, sink)?;
-    let os = oracle.stats();
-    let stats = SolveStats {
-        classes: os.searches,
-        compiles: os.compiles,
-        searches: os.searches,
-    };
-    Ok((phi, stats))
-}
-
-/// [`unique_maximal_independent_solution`] against a caller-held
-/// [`Oracle`], so several solves (different sources/sinks) share one
-/// compile.
-pub fn unique_maximal_independent_solution_with(
     oracle: &Oracle<'_>,
     sources: &ObjSet,
     sink: ObjId,
@@ -350,7 +308,12 @@ mod tests {
                 Cmd::when(Expr::var(m), Cmd::assign(b, Expr::var(a))),
             )],
         );
-        let phi_max = unique_maximal_independent_solution(&sys, &ObjSet::singleton(a), b).unwrap();
+        let phi_max = unique_maximal_independent_solution(
+            &Oracle::new(&sys).unwrap(),
+            &ObjSet::singleton(a),
+            b,
+        )
+        .unwrap();
         // It is a solution, it is α-independent, and it equals ¬m
         // extensionally.
         let strict = Problem::no_flow(ObjSet::singleton(a), b, true);
@@ -394,7 +357,12 @@ mod tests {
                 Cmd::when(guard, Cmd::assign(b, Expr::var(a))),
             )],
         );
-        let computed = unique_maximal_independent_solution(&sys, &ObjSet::singleton(a), b).unwrap();
+        let computed = unique_maximal_independent_solution(
+            &Oracle::new(&sys).unwrap(),
+            &ObjSet::singleton(a),
+            b,
+        )
+        .unwrap();
         let expected = Phi::expr(
             Expr::var(xx)
                 .has_rights(Rights::S)
@@ -411,16 +379,18 @@ mod tests {
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
-        let (phi, stats) =
-            unique_maximal_independent_solution_stats(&sys, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let phi = unique_maximal_independent_solution(&oracle, &ObjSet::singleton(a), b).unwrap();
+        let stats = oracle.stats();
         assert_eq!(stats.compiles, 1, "one compile for the whole sweep");
-        assert!(stats.classes >= 1);
-        assert_eq!(stats.searches, stats.classes);
         // Same extensional result as the pre-Oracle sequential path:
         // one one-shot β query per cylinder class.
+        let classes = crate::depend::classes(&sys, &Phi::True, &ObjSet::singleton(a)).unwrap();
+        assert!(!classes.is_empty());
+        assert_eq!(stats.searches, classes.len() as u64, "one search per class");
         let n = sys.state_count().unwrap();
         let mut expected = StateSet::new(n);
-        for class in crate::depend::classes(&sys, &Phi::True, &ObjSet::singleton(a)).unwrap() {
+        for class in classes {
             let mut cyl = StateSet::new(n);
             for s in &class {
                 cyl.insert(s.encode(u));

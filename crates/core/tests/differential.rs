@@ -11,7 +11,7 @@ use sd_core::depend::strongly_depends_after;
 use sd_core::history::histories_up_to;
 use sd_core::{
     examples, Cmd, CompileBudget, DependsWitness, Domain, Engine, Expr, History, ObjId, ObjSet, Op,
-    Phi, Query, QueryOutcome, State, System, Universe,
+    Oracle, Phi, Query, QueryOutcome, State, System, Universe,
 };
 
 const BUDGET: CompileBudget = CompileBudget {
@@ -19,18 +19,36 @@ const BUDGET: CompileBudget = CompileBudget {
     max_dense_pair_bits: 1 << 28,
 };
 
-const COMPILED: [Engine; 3] = [Engine::Auto, Engine::CompiledDense, Engine::CompiledSparse];
+/// How a test runs a query: `Some(engine)` on a fresh Oracle pinned to
+/// that engine under the shared test budget, `None` one-shot through
+/// [`Query::run_on`] (the φ-tuned `Engine::Auto` Oracle).
+type Mode = Option<Engine>;
 
-const ENGINES: [Engine; 4] = [
-    Engine::Interpreted,
-    Engine::Auto,
-    Engine::CompiledDense,
-    Engine::CompiledSparse,
+const INTERPRETED: Mode = Some(Engine::Interpreted);
+
+const COMPILED: [Mode; 4] = [
+    None,
+    Some(Engine::Auto),
+    Some(Engine::CompiledDense),
+    Some(Engine::CompiledSparse),
 ];
 
-/// Runs `q` one-shot on `engine` under the shared test budget.
-fn run(sys: &System, q: &Query, engine: Engine) -> QueryOutcome {
-    q.clone().engine(engine).budget(BUDGET).run_on(sys).unwrap()
+const ENGINES: [Mode; 5] = [
+    INTERPRETED,
+    None,
+    Some(Engine::Auto),
+    Some(Engine::CompiledDense),
+    Some(Engine::CompiledSparse),
+];
+
+/// Runs `q` in `mode`.
+fn run(sys: &System, q: &Query, mode: Mode) -> QueryOutcome {
+    match mode {
+        Some(engine) => q
+            .run(&Oracle::with_engine(sys, engine, &BUDGET).unwrap())
+            .unwrap(),
+        None => q.run_on(sys).unwrap(),
+    }
 }
 
 /// The brute-force reference for `bounded(k)`: the first history of
@@ -121,7 +139,7 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     let query = Query::new(phi.clone(), a.clone());
     for &beta in &objects {
         let q = query.clone().beta(beta);
-        let reference = run(sys, &q, Engine::Interpreted).into_witness();
+        let reference = run(sys, &q, INTERPRETED).into_witness();
         if let Some(w) = &reference {
             assert_witness_valid(sys, phi, a, beta, w);
         }
@@ -140,13 +158,13 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     }
     // Set target: the first two objects simultaneously.
     let q = query.clone().set(objects.iter().take(2).copied().collect());
-    let reference = witness_fields(run(sys, &q, Engine::Interpreted).into_witness());
+    let reference = witness_fields(run(sys, &q, INTERPRETED).into_witness());
     for engine in COMPILED {
         let got = witness_fields(run(sys, &q, engine).into_witness());
         assert_eq!(got, reference, "set-target mismatch: {engine:?}");
     }
     // Sinks row.
-    let reference = run(sys, &query, Engine::Interpreted).into_sinks();
+    let reference = run(sys, &query, INTERPRETED).into_sinks();
     for engine in COMPILED {
         let got = run(sys, &query, engine).into_sinks();
         assert_eq!(got, reference, "sinks mismatch: {engine:?}");
@@ -299,7 +317,7 @@ fn engines_agree_on_paper_examples() {
             let rows = run(sys, &matrix, engine).into_rows().unwrap();
             for (a, row) in sources.iter().zip(rows) {
                 let single = Query::new(Phi::True, a.clone());
-                let reference = run(sys, &single, Engine::Interpreted).into_sinks();
+                let reference = run(sys, &single, INTERPRETED).into_sinks();
                 assert_eq!(Some(row), reference, "matrix row mismatch for {a:?}");
             }
         }

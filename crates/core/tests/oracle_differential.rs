@@ -22,16 +22,16 @@ const BUDGET: CompileBudget = CompileBudget {
     max_dense_pair_bits: 1 << 28,
 };
 
-/// Reference verdict: a fresh interpreted-engine search through the
-/// `Query` one-shot path, pinned to the shared test budget.
+/// Runs `query` on a fresh Oracle pinned to the interpreted engine and
+/// the shared test budget.
+fn interpreted(sys: &System, query: Query) -> sd_core::QueryOutcome {
+    let oracle = Oracle::with_engine(sys, Engine::Interpreted, &BUDGET).unwrap();
+    query.run(&oracle).unwrap()
+}
+
+/// Reference verdict: a fresh interpreted-engine search.
 fn interp_depends(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId) -> Option<DependsWitness> {
-    Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .engine(Engine::Interpreted)
-        .budget(BUDGET)
-        .run_on(sys)
-        .unwrap()
-        .into_witness()
+    interpreted(sys, Query::new(phi.clone(), a.clone()).beta(beta)).into_witness()
 }
 
 /// A random valid system: `n` objects over a common `k`-valued domain,
@@ -422,21 +422,11 @@ fn oracle_depends_matches_interpreted() {
         }
         let b: ObjSet = ids.iter().take(2).copied().collect();
         let reference = witness_fields(
-            Query::new(phi.clone(), a.clone())
-                .set(b.clone())
-                .engine(Engine::Interpreted)
-                .budget(BUDGET)
-                .run_on(&sys)
-                .unwrap()
-                .into_witness(),
+            interpreted(&sys, Query::new(phi.clone(), a.clone()).set(b.clone())).into_witness(),
         );
         let got = witness_fields(shared(query.clone().set(b)).into_witness());
         assert_eq!(got, reference, "shared set-target mismatch at seed {seed}");
-        let reference = Query::new(phi.clone(), a.clone())
-            .engine(Engine::Interpreted)
-            .budget(BUDGET)
-            .run_on(&sys)
-            .unwrap()
+        let reference = interpreted(&sys, Query::new(phi.clone(), a.clone()))
             .into_sinks()
             .expect("a sinks query returns a sink set");
         let got = shared(query).into_sinks().unwrap();
@@ -478,14 +468,20 @@ fn maximal_solution_matches_interpreted_cylinder_sweep() {
             }
         }
 
-        let (got, stats) =
-            solve::unique_maximal_independent_solution_stats(&sys, &sources, sink).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let got = solve::unique_maximal_independent_solution(&oracle, &sources, sink).unwrap();
         assert_eq!(
             got.sat(&sys).unwrap(),
             reference,
             "maximal solution mismatch at seed {seed}"
         );
+        let stats = oracle.stats();
         assert_eq!(stats.compiles, 1, "solve must compile exactly once");
+        assert_eq!(
+            stats.searches,
+            classes.len() as u64,
+            "one search per cylinder class at seed {seed}"
+        );
     }
 }
 
@@ -498,24 +494,25 @@ fn induction_provers_match_interpreted_references() {
         let ids: Vec<_> = u.objects().collect();
         let phi = random_phi(&sys, &mut rng);
         let a = ObjSet::singleton(ids[rng.gen_range(0..ids.len())]);
+        let oracle = Oracle::new(&sys).unwrap();
         for &beta in &ids {
-            let got = induction::prove_cor_5_6(&sys, &phi, &a, beta).unwrap();
+            let got = induction::prove_cor_5_6(&oracle, &phi, &a, beta).unwrap();
             let reference = ref_cor_5_6(&sys, &phi, &a, beta);
             assert_outcomes_equal(&got, &reference, &format!("cor 5-6, seed {seed}"));
 
-            let got = induction::prove_cor_6_5(&sys, &phi, &a, beta).unwrap();
+            let got = induction::prove_cor_6_5(&oracle, &phi, &a, beta).unwrap();
             let reference = ref_cor_6_5(&sys, &phi, &a, beta);
             assert_outcomes_equal(&got, &reference, &format!("cor 6-5, seed {seed}"));
 
             let alpha = a.iter().next().unwrap();
-            let got = induction::prove_cor_4_2(&sys, &phi, alpha, beta).unwrap();
+            let got = induction::prove_cor_4_2(&oracle, &phi, alpha, beta).unwrap();
             let reference = ref_cor_4_2(&sys, &phi, alpha, beta);
             assert_outcomes_equal(&got, &reference, &format!("cor 4-2, seed {seed}"));
         }
         // Cor 4-3 under a random preorder: q(x, y) ≡ rank(x) ≤ rank(y).
         let ranks: Vec<u32> = ids.iter().map(|_| rng.gen_range(0..3)).collect();
         let q = |x: ObjId, y: ObjId| ranks[x.index()] <= ranks[y.index()];
-        let got = induction::prove_cor_4_3(&sys, &phi, &q, "rank-leq").unwrap();
+        let got = induction::prove_cor_4_3(&oracle, &phi, &q, "rank-leq").unwrap();
         let reference = ref_cor_4_3(&sys, &phi, &q, "rank-leq");
         assert_outcomes_equal(&got, &reference, &format!("cor 4-3, seed {seed}"));
     }
@@ -539,13 +536,14 @@ fn separation_of_variety_matches_interpreted_reference() {
             .map(|v| Phi::expr(Expr::var(splitter).eq(Expr::int(v))))
             .collect();
         let beta = ids[rng.gen_range(1..ids.len())];
+        let oracle = Oracle::new(&sys).unwrap();
         for strategy in [
             PieceStrategy::ExactBfs,
             PieceStrategy::Cor56,
             PieceStrategy::Cor65,
         ] {
-            let got =
-                cover::prove_separation_of_variety(&sys, &phi, &cover, &a, beta, strategy).unwrap();
+            let got = cover::prove_separation_of_variety(&oracle, &phi, &cover, &a, beta, strategy)
+                .unwrap();
             let reference = ref_separation(&sys, &phi, &cover, &a, beta, strategy);
             assert_outcomes_equal(&got, &reference, &format!("SoV {strategy:?}, seed {seed}"));
         }

@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use sd_core::{examples, CompileBudget, Error, ObjId, ObjSet, Oracle, Phi, Query};
+use sd_core::{examples, CompileBudget, Engine, Error, ObjId, ObjSet, Oracle, Phi, Query};
 
 #[test]
 fn empty_source_set_yields_empty_sinks() {
@@ -88,8 +88,7 @@ fn zero_compile_budget_still_answers_correctly() {
         max_dense_pair_bits: 0,
     };
     let lean = Query::new(Phi::True, a.clone())
-        .budget(zero)
-        .run_on(&sys)
+        .run(&Oracle::with_engine(&sys, Engine::Auto, &zero).unwrap())
         .unwrap();
     let full = Query::new(Phi::True, a).run_on(&sys).unwrap();
     assert_eq!(

@@ -171,11 +171,11 @@ fn bfs_level_stream_is_monotone_and_matches_report() {
     let b = u.obj("o3").unwrap();
     for engine in [Engine::Interpreted, Engine::Auto] {
         let sink = Arc::new(RecordingSink::new());
+        let oracle = Oracle::with_engine(&sys, engine, &CompileBudget::default()).unwrap();
         let out = Query::new(Phi::True, ObjSet::singleton(a))
             .beta(b)
-            .engine(engine)
             .sink(sink.clone() as Arc<dyn sd_core::Sink>)
-            .run_on(&sys)
+            .run(&oracle)
             .unwrap();
         assert!(out.holds());
 

@@ -19,24 +19,17 @@
 
 use std::collections::BTreeSet;
 
-use sd_core::{History, ObjId, ObjSet, OpId, Phi, Result, System};
+use sd_core::{ObjId, ObjSet, OpId, Phi, Result, System};
 
 /// A relation over objects.
 pub type Relation = BTreeSet<(ObjId, ObjId)>;
 
 /// The per-operation flow relation `α -(δ)-> β`, derived semantically:
 /// there exists a state pair differing only at α for which δ's outputs
-/// differ at β (strong dependency after the single-op history, φ = tt).
+/// differ at β (strong dependency after the single-op history, φ = tt):
+/// [`crate::millen::op_flow_relation_under`] with φ = tt.
 pub fn op_flow_relation(sys: &System, op: OpId) -> Result<Relation> {
-    let mut out = Relation::new();
-    let h = History::single(op);
-    for alpha in sys.universe().objects() {
-        let sinks = sd_core::depend::sinks_after(sys, &Phi::True, &ObjSet::singleton(alpha), &h)?;
-        for beta in sinks.iter() {
-            out.insert((alpha, beta));
-        }
-    }
-    Ok(out)
+    crate::millen::op_flow_relation_under(sys, &Phi::True, op)
 }
 
 /// The transitive flow relation over all histories:

@@ -116,7 +116,8 @@ pub fn entry_phi(c: &Compiled, ann: &Assertions) -> Result<Phi> {
 pub fn verify_assertions(c: &Compiled, ann: &Assertions) -> Result<bool> {
     let phi = entry_phi(c, ann)?;
     let cover = pc_cover(c, ann)?;
-    Ok(sd_core::cover::is_inductive_cover(&c.system, &phi, &cover)?)
+    let oracle = sd_core::Oracle::new(&c.system)?;
+    Ok(sd_core::cover::is_inductive_cover(&oracle, &phi, &cover)?)
 }
 
 /// Proves `¬from ▷φ to` for a compiled program using the annotated Floyd
@@ -126,8 +127,9 @@ pub fn prove_no_flow(c: &Compiled, ann: &Assertions, from: &str, to: &str) -> Re
     let cover = pc_cover(c, ann)?;
     let a = sd_core::ObjSet::singleton(c.var(from)?);
     let beta = c.var(to)?;
+    let oracle = sd_core::Oracle::new(&c.system)?;
     Ok(sd_core::cover::prove_inductive_cover(
-        &c.system, &phi, &cover, &a, beta,
+        &oracle, &phi, &cover, &a, beta,
     )?)
 }
 

@@ -85,7 +85,7 @@ impl SecurityPolicy {
     pub fn prove(&self, m: &Matrix, phi: &Phi) -> Result<ProofOutcome> {
         let cls = self.cls.clone();
         let q = move |x: ObjId, y: ObjId| cls[x.index()] <= cls[y.index()];
-        sd_core::induction::prove_cor_4_3(&m.system, phi, &q, "Cls ≤")
+        sd_core::induction::prove_cor_4_3(&sd_core::Oracle::new(&m.system)?, phi, &q, "Cls ≤")
     }
 
     /// Decides the Security Problem exactly.

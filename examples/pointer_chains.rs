@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --example pointer_chains --release`.
 
-use strong_dependency::core::{examples, induction, ObjId, ObjSet, Phi, Query, Value};
+use strong_dependency::core::{examples, induction, ObjId, ObjSet, Oracle, Phi, Query, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 4;
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // respect of q imply every dependency respects q.
     let chain_q = chain.clone();
     let q = move |x: ObjId, y: ObjId| !chain_q.contains(x) || chain_q.contains(y);
-    let outcome = induction::prove_cor_4_3(&sys, &phi, &q, "Chain(x) ⊃ Chain(y)")?;
+    let outcome = induction::prove_cor_4_3(&Oracle::new(&sys)?, &phi, &q, "Chain(x) ⊃ Chain(y)")?;
     match outcome.certificate() {
         Some(cert) => println!("\n{cert}"),
         None => println!("induction failed: {:?}", outcome.reason()),

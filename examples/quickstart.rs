@@ -4,7 +4,8 @@
 //! Run with `cargo run --example quickstart`.
 
 use strong_dependency::core::{
-    classify, problem::Problem, solve, Cmd, Domain, Expr, ObjSet, Op, Phi, Query, System, Universe,
+    classify, problem::Problem, solve, Cmd, Domain, Expr, ObjSet, Op, Oracle, Phi, Query, System,
+    Universe,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,14 +60,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         problem.is_solution(&sys, &phi)?
     );
 
+    // The provers share one Oracle: the system compiles once for both.
+    let oracle = Oracle::new(&sys)?;
+
     // A certificate via Strong Dependency Induction (Corollary 4-2).
-    let outcome = strong_dependency::core::induction::prove_cor_4_2(&sys, &phi, alpha, beta)?;
+    let outcome = strong_dependency::core::induction::prove_cor_4_2(&oracle, &phi, alpha, beta)?;
     if let Some(cert) = outcome.certificate() {
         println!("\n{cert}");
     }
 
     // The *maximal* α-independent solution, constructed (Thm 3-1).
-    let phi_max = solve::unique_maximal_independent_solution(&sys, &src, beta)?;
+    let phi_max = solve::unique_maximal_independent_solution(&oracle, &src, beta)?;
     println!(
         "maximal solution admits {} of {} states (φ = ¬m admits {})",
         phi_max.sat(&sys)?.count(),

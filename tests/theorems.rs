@@ -5,7 +5,7 @@ mod common;
 
 use common::{random_autonomous_phi, random_phi, random_src_sink, random_system};
 use strong_dependency::core::{
-    after, classify, cover, depend, history, induction, History, ObjSet, Phi, Query,
+    after, classify, cover, depend, history, induction, History, ObjSet, Oracle, Phi, Query,
 };
 
 /// Systems used across the theorem sweeps.
@@ -280,7 +280,8 @@ fn theorem_6_2_invariant_shrinks() {
             continue;
         }
         let sat = phi.sat(&sys).unwrap();
-        for img in after::reachable_images(&sys, &phi).unwrap() {
+        let oracle = Oracle::new(&sys).unwrap();
+        for img in after::reachable_images(&oracle, &phi).unwrap() {
             assert!(img.is_subset(&sat), "Thm 6-2 violated (seed {i})");
         }
     }
@@ -300,9 +301,10 @@ fn provers_are_sound() {
         if a.contains(beta) {
             continue;
         }
+        let oracle = Oracle::new(&sys).unwrap();
         for outcome in [
-            induction::prove_cor_5_6(&sys, &phi, &a, beta).unwrap(),
-            induction::prove_cor_6_5(&sys, &phi, &a, beta).unwrap(),
+            induction::prove_cor_5_6(&oracle, &phi, &a, beta).unwrap(),
+            induction::prove_cor_6_5(&oracle, &phi, &a, beta).unwrap(),
         ] {
             if outcome.is_proved() {
                 proved += 1;
