@@ -11,8 +11,9 @@
 //! [`Engine`], the [`CompileBudget`] and the state space (see
 //! [`crate::oracle`]):
 //!
-//! - **Dense**: every successor is precomputed up front, in parallel
-//!   over state-code ranges.
+//! - **Dense**: every successor is precomputed up front, split over
+//!   state-code ranges across the workers once the system has 1,024
+//!   states or more.
 //! - **Sparse**: successor rows are interpreted on first touch and
 //!   memoised in the system's one row store, so each *reached* state is
 //!   interpreted exactly once for all operations, however many searches
@@ -37,6 +38,16 @@ use crate::history::OpId;
 use crate::state::State;
 use crate::system::System;
 use crate::telemetry::{QueryEvent, Trace};
+
+/// Operation applications (missing rows × |Δ|) above which
+/// [`CompiledSystem::ensure_rows`] interprets its batch in parallel. One
+/// `std::thread::scope` that spawns a helper beside an inline chunk
+/// costs ≈ 50 µs on a 2-vCPU x86-64 VM (≈ 80–90 µs with two spawns),
+/// and interpreting one operation on one state ≈ 0.15 µs (a
+/// `pointer_chain(4,2)` row of 24 ops takes 3.4 µs, a `mod_adder(5)` row
+/// of one op 0.17 µs). A batch this size takes ≈ 1.2 ms, so splitting it
+/// saves about ten times the spawn.
+const PAR_ROW_OPS: usize = 1 << 13;
 
 /// Dense-table sentinel: "this operation errors on this state".
 const POISON32: u32 = u32::MAX;
@@ -295,9 +306,11 @@ impl<'s> CompiledSystem<'s> {
 
     /// Materialises sparse successor rows for every code in `codes` that
     /// is not yet in the row store. Missing codes are found under the
-    /// read lock and interpreted outside any lock, in parallel when there
-    /// are enough of them; the write lock then inserts each row unless a
-    /// concurrent caller inserted it first. A no-op for dense tables.
+    /// read lock and interpreted outside any lock: on the calling thread,
+    /// or split across [`par_map_chunks`] workers when interpreting them
+    /// applies more than [`PAR_ROW_OPS`] operations. The write lock then
+    /// inserts each row unless a concurrent caller inserted it first. A
+    /// no-op for dense tables.
     /// Rows this call inserted count as materialised on `trace`, all
     /// other requested codes as reused (also emitted as a
     /// [`QueryEvent::MemoRows`] event when a sink is attached), so each
@@ -316,10 +329,8 @@ impl<'s> CompiledSystem<'s> {
         };
         let mut materialized = 0u64;
         if !missing.is_empty() {
-            // Row interpretation is ~two orders of magnitude more
-            // expensive than a table probe, so parallelise even smallish
-            // batches.
-            let computed: Vec<Vec<u64>> = par_map_chunks(&missing, 32, |chunk| {
+            let min_seq = PAR_ROW_OPS / self.num_ops.max(1);
+            let computed: Vec<Vec<u64>> = par_map_chunks(&missing, min_seq, |chunk| {
                 let mut rows = Vec::with_capacity(chunk.len() * self.num_ops);
                 for &code in chunk {
                     self.interpret_row(code, &mut rows);
@@ -363,7 +374,8 @@ impl<'s> CompiledSystem<'s> {
 }
 
 /// Builds the dense state-major table, splitting the state-code range
-/// across scoped threads. Also returns whether any entry is poisoned.
+/// into [`worker_count`] chunks: the caller fills the first and scoped
+/// threads the rest. Also returns whether any entry is poisoned.
 fn build_dense(sys: &System, ns: u64, num_ops: usize) -> (Vec<u32>, bool) {
     let total = ns as usize * num_ops;
     if total == 0 {
@@ -376,16 +388,18 @@ fn build_dense(sys: &System, ns: u64, num_ops: usize) -> (Vec<u32>, bool) {
         return (table, poisoned);
     }
     let chunk_states = (ns as usize).div_ceil(threads);
+    let mut chunks = table.chunks_mut(chunk_states * num_ops);
+    let first = chunks.next().expect("a non-empty table has a first chunk");
     let poisoned = std::thread::scope(|scope| {
-        let handles: Vec<_> = table
-            .chunks_mut(chunk_states * num_ops)
+        let helpers: Vec<_> = chunks
             .enumerate()
             .map(|(i, chunk)| {
-                let start = (i * chunk_states) as u64;
+                let start = ((i + 1) * chunk_states) as u64;
                 scope.spawn(move || fill_dense_chunk(sys, chunk, start))
             })
             .collect();
-        handles.into_iter().fold(false, |any, h| {
+        let first_poisoned = fill_dense_chunk(sys, first, 0);
+        helpers.into_iter().fold(first_poisoned, |any, h| {
             h.join().expect("dense table worker does not panic") | any
         })
     });
@@ -414,8 +428,9 @@ fn fill_dense_chunk(sys: &System, chunk: &mut [u32], start_code: u64) -> bool {
 }
 
 /// Number of workers for scoped-thread parallel sections. Cached:
-/// `available_parallelism` is a syscall on Linux, and this is consulted
-/// once per BFS level on the search hot path.
+/// `available_parallelism` is a syscall on Linux, and parallel sections
+/// consult it on the search hot path (for each BFS level and row batch
+/// large enough to go parallel).
 pub(crate) fn worker_count() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *WORKERS.get_or_init(|| {
@@ -425,10 +440,23 @@ pub(crate) fn worker_count() -> usize {
     })
 }
 
-/// Applies `f` to chunks of `items` on scoped threads, returning one
-/// result per chunk in order. Falls back to a single sequential call
-/// when `items` is small or the machine has one core.
+/// Applies `f` to chunks of `items`, returning one result per chunk in
+/// order. Input of at most `min_seq` items (or any input on one core)
+/// is one call on the calling thread. Larger input is split into
+/// [`worker_count`] chunks: the caller runs the first and scoped
+/// threads run the rest, so a section spawns `threads − 1` helpers. A
+/// panic in any chunk propagates to the caller.
 pub(crate) fn par_map_chunks<T, R, F>(items: &[T], min_seq: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&[T]) -> R + Sync,
+{
+    map_chunks_on(worker_count(), items, min_seq, f)
+}
+
+/// [`par_map_chunks`] on a given number of threads.
+fn map_chunks_on<T, R, F>(threads: usize, items: &[T], min_seq: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -437,20 +465,22 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let threads = worker_count();
     if threads <= 1 || items.len() <= min_seq.max(1) {
         return vec![f(items)];
     }
-    let chunk_len = items.len().div_ceil(threads);
+    let mut chunks = items.chunks(items.len().div_ceil(threads));
+    let first = chunks.next().expect("non-empty input has a first chunk");
+    let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(|| f(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel chunk worker does not panic"))
-            .collect()
+        let helpers: Vec<_> = chunks.map(|chunk| scope.spawn(move || f(chunk))).collect();
+        let mut out = Vec::with_capacity(helpers.len() + 1);
+        out.push(f(first));
+        out.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("parallel chunk worker does not panic")),
+        );
+        out
     })
 }
 
@@ -506,6 +536,42 @@ mod tests {
         let mut trace = Trace::disabled();
         dense.ensure_rows(&[0, 1], &mut trace);
         assert_eq!(trace.report.rows_materialized, 0);
+    }
+
+    #[test]
+    fn small_input_runs_once_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..10).collect();
+        for threads in [1, 3] {
+            let out = map_chunks_on(threads, &items, 10, |chunk| {
+                (chunk.len(), std::thread::current().id())
+            });
+            assert_eq!(out, vec![(10, caller)], "{threads} threads");
+        }
+        assert!(map_chunks_on(3, &items[..0], 0, |c: &[u32]| c.len()).is_empty());
+    }
+
+    #[test]
+    fn large_input_runs_its_first_chunk_on_the_caller_and_keeps_chunk_order() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..100).collect();
+        let out = map_chunks_on(3, &items, 10, |chunk| {
+            (chunk.to_vec(), std::thread::current().id())
+        });
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[0].1, caller);
+        assert!(out[1..].iter().all(|(_, id)| *id != caller));
+        let rejoined: Vec<u32> = out.into_iter().flat_map(|(chunk, _)| chunk).collect();
+        assert_eq!(rejoined, items);
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel chunk worker does not panic")]
+    fn a_helper_panic_reaches_the_caller() {
+        let items: Vec<u32> = (0..100).collect();
+        map_chunks_on(2, &items, 10, |chunk| {
+            assert!(chunk[0] == 0, "helper chunk")
+        });
     }
 
     #[test]

@@ -59,7 +59,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::compiled::{par_map_chunks, CompileBudget, CompiledSystem, Engine, Rows, TableKind};
+use crate::compiled::{CompileBudget, CompiledSystem, Engine, Rows, TableKind};
 use crate::cone::{self, Cones};
 use crate::constraint::{Phi, StateSet};
 use crate::depend::{self, SatPartition};
@@ -500,12 +500,13 @@ impl<'s> Oracle<'s> {
     }
 
     /// One sinks row per source set, sharing the interned Sat(φ)
-    /// enumeration; rows run in parallel on scoped threads, each
-    /// borrowing buffers from the pool. The report sums the rows' counts
-    /// and keeps the deepest level; its engine is `"cone"` only when the
-    /// cone decided every row. The limits apply to each row's search
-    /// independently; the deadline is shared, so the whole matrix
-    /// respects it.
+    /// enumeration. Rows run in order on the calling thread, each
+    /// borrowing buffers from the pool; a row's search splits its own
+    /// large levels across threads. The first error, in row order, ends
+    /// the matrix. The report sums the rows' counts and keeps the deepest
+    /// level; its engine is `"cone"` only when the cone decided every
+    /// row. The limits apply to each row's search independently; the
+    /// deadline is shared, so the whole matrix respects it.
     pub(crate) fn sinks_matrix(
         &self,
         phi: &Phi,
@@ -514,13 +515,10 @@ impl<'s> Oracle<'s> {
         sink: Option<&dyn Sink>,
     ) -> Result<(Vec<ObjSet>, QueryReport)> {
         let codes = self.sat_codes_at(phi, sink)?;
-        let row = |src: &ObjSet| self.sinks(&codes, src, limits, sink);
-        let chunked: Vec<Vec<Result<(ObjSet, QueryReport)>>> =
-            par_map_chunks(sources, 1, |chunk| chunk.iter().map(&row).collect());
         let mut total = QueryReport::empty(cone::ENGINE);
         let mut rows = Vec::with_capacity(sources.len());
-        for res in chunked.into_iter().flatten() {
-            let (set, report) = res?;
+        for src in sources {
+            let (set, report) = self.sinks(&codes, src, limits, sink)?;
             if report.engine != cone::ENGINE {
                 total.engine = report.engine;
             }

@@ -130,7 +130,7 @@ impl Problem {
             }
             ProblemKind::AllowedPaths { q } => {
                 let objects: Vec<ObjId> = sys.universe().objects().collect();
-                let rows = crate::worth::parallel_rows(sys, phi, &objects)?;
+                let rows = crate::worth::singleton_sink_rows(sys, phi, &objects)?;
                 for (alpha, sinks) in objects.into_iter().zip(rows) {
                     for beta in sinks.iter() {
                         if !q(alpha, beta) {
@@ -159,10 +159,10 @@ impl Problem {
                 }
             }
             ProblemKind::AllowedPaths { q } => {
-                // One compile + a parallel row sweep instead of a fresh
+                // One compile + a batched row sweep instead of a fresh
                 // per-source search state for every α.
                 let objects: Vec<ObjId> = sys.universe().objects().collect();
-                let rows = crate::worth::parallel_rows(sys, phi, &objects)?;
+                let rows = crate::worth::singleton_sink_rows(sys, phi, &objects)?;
                 for (alpha, sinks) in objects.into_iter().zip(rows) {
                     for beta in sinks.iter() {
                         if !q(alpha, beta) {

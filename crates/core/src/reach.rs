@@ -14,11 +14,13 @@
 //! - **Compiled** — the [`crate::compiled`] tables: the BFS runs over
 //!   packed `u64` pair codes only, the visited structure is a flat
 //!   [`BitSet`] (falling back to a hash set above
-//!   [`CompileBudget::max_dense_pair_bits`]), and each frontier level is
-//!   expanded in parallel on scoped threads. Candidate levels are merged
+//!   [`CompileBudget::max_dense_pair_bits`]). A frontier level is
+//!   expanded on the calling thread, or split across scoped threads
+//!   (the caller running the first chunk) once it holds enough pair
+//!   expansions to pay for the spawns. Candidate levels are merged
 //!   sequentially in frontier order, so discovery order — and therefore
 //!   the reconstructed witness and its minimal length — is identical to
-//!   the interpreted engine's.
+//!   the interpreted engine's, wherever a chunk ran.
 //!
 //! Both engines check the goal when a pair is *discovered* (inserted into
 //! the visited structure), not when it is dequeued, and both expand pairs
@@ -387,9 +389,20 @@ fn reconstruct_compiled(u: &Universe, nodes: &[Node], mut idx: usize, ns: u64) -
     }
 }
 
-/// Compiled BFS over packed pair codes: level-parallel expansion with a
-/// sequential in-order merge (see module docs for why the merge order
-/// matters). Same contract as [`interpreted_search`].
+/// Frontier pair expansions (frontier pairs × |Δ|) above which a BFS
+/// level is expanded in parallel. One `std::thread::scope` that spawns a
+/// helper beside an inline chunk costs ≈ 50 µs on a 2-vCPU x86-64 VM
+/// (≈ 80–90 µs with two spawns); the compiled search runs ≈ 30 ns per
+/// expansion, merge included (≈ 30k expansions per ms in a traced
+/// `sdbench` cold_search), so a level this size takes ≈ 2 ms and
+/// splitting it saves about twenty times the spawn. Lower cut-offs
+/// (2¹³, 2¹⁴) served that workload 16 % and 5 % slower.
+const PAR_LEVEL_EXPANSIONS: usize = 1 << 16;
+
+/// Compiled BFS over packed pair codes: per-level expansion (parallel
+/// above [`PAR_LEVEL_EXPANSIONS`]) with a sequential in-order merge (see
+/// module docs for why the merge order matters). Same contract as
+/// [`interpreted_search`].
 pub(crate) fn compiled_search(
     cs: &CompiledSystem<'_>,
     part: &SatPartition,
@@ -445,7 +458,7 @@ pub(crate) fn compiled_search(
         trace.report.pair_expansions += (hi - lo) as u64 * num_ops as u64;
         depth += 1;
         // Materialise sparse successor rows for every state in the
-        // frontier (parallel, no-op for dense tables), then take this
+        // frontier (a no-op for dense tables), then take this
         // level's one view of the tables. It is dropped before the next
         // level materialises more rows.
         if cs.kind() == TableKind::Sparse {
@@ -459,8 +472,8 @@ pub(crate) fn compiled_search(
             cs.ensure_rows(&codes, trace);
         }
         let rows = cs.rows();
-        // Expand the frontier in parallel; each chunk emits candidates in
-        // frontier × op order.
+        // Expand the frontier, in parallel chunks when the level is large
+        // enough; each chunk emits candidates in frontier × op order.
         let frontier: Vec<(u64, u32)> = nodes[lo..hi]
             .iter()
             .enumerate()
@@ -468,7 +481,8 @@ pub(crate) fn compiled_search(
             .collect();
         let rows_ref = &rows;
         let visited_ref = &*visited;
-        let candidates: Vec<Vec<Node>> = par_map_chunks(&frontier, 64, |chunk| {
+        let min_seq = PAR_LEVEL_EXPANSIONS / num_ops.max(1);
+        let candidates: Vec<Vec<Node>> = par_map_chunks(&frontier, min_seq, |chunk| {
             let mut out = Vec::new();
             for &(key, idx) in chunk {
                 let (c1, c2) = (key / ns, key % ns);
@@ -560,7 +574,9 @@ mod tests {
     use crate::op::{Cmd, Op};
     use crate::oracle::Oracle;
     use crate::query::{Query, QueryOutcome};
+    use crate::telemetry::RecordingSink;
     use crate::universe::{Domain, ObjSet, Universe};
+    use std::sync::Arc;
 
     const ENGINES: [Engine; 4] = [
         Engine::Auto,
@@ -955,6 +971,101 @@ mod tests {
         for engine in ENGINES {
             let out = run_pinned(&sys, &q(&Phi::True, &ObjSet::singleton(x), y), engine);
             assert!(!out.holds(), "{engine:?}");
+        }
+    }
+
+    /// A system whose BFS levels are wide enough to go parallel: x
+    /// (0..63) has 63 counter ops (`x += k mod 64`), y (0..1) one toggle,
+    /// and `leak` sets β to `α > 2` once x = 63 and y = 1, if the flag w
+    /// (which nothing writes) is set.
+    fn wide_sys() -> System {
+        let u = Universe::new(vec![
+            ("alpha".into(), Domain::int_range(0, 6).unwrap()),
+            ("beta".into(), Domain::boolean()),
+            ("x".into(), Domain::int_range(0, 63).unwrap()),
+            ("y".into(), Domain::int_range(0, 1).unwrap()),
+            ("w".into(), Domain::boolean()),
+        ])
+        .unwrap();
+        let [a, b, x, y, w] = ["alpha", "beta", "x", "y", "w"].map(|n| u.obj(n).unwrap());
+        let mut ops: Vec<Op> = (1..64)
+            .map(|k| {
+                let step = Expr::var(x).add(Expr::int(k)).modulo(Expr::int(64));
+                Op::from_cmd(format!("x+{k}"), Cmd::assign(x, step))
+            })
+            .collect();
+        ops.push(Op::from_cmd(
+            "y",
+            Cmd::assign(y, Expr::int(1).sub(Expr::var(y))),
+        ));
+        let armed = Expr::var(x)
+            .eq(Expr::int(63))
+            .and(Expr::var(y).eq(Expr::int(1)))
+            .and(Expr::var(w));
+        ops.push(Op::from_cmd(
+            "leak",
+            Cmd::when(armed, Cmd::assign(b, Expr::var(a).gt(Expr::int(2)))),
+        ));
+        System::new(u, ops)
+    }
+
+    #[test]
+    fn parallel_levels_match_the_interpreted_engine() {
+        // Levels above PAR_LEVEL_EXPANSIONS are split across threads; the
+        // merge must still discover pairs in the interpreted FIFO order.
+        // φ pins everything but α: 21 root pairs, whose levels 1 and 2
+        // hold 21 · 64 and 21 · 63 pairs of 65 operations each. With w
+        // set the search stops at a flow; without, it is exhaustive.
+        let sys = wide_sys();
+        let u = sys.universe();
+        let [a, b, x, y, w] = ["alpha", "beta", "x", "y", "w"].map(|n| u.obj(n).unwrap());
+        let pinned = Expr::var(x)
+            .eq(Expr::int(0))
+            .and(Expr::var(y).eq(Expr::int(0)))
+            .and(Expr::var(b).not());
+        let alpha = ObjSet::singleton(a);
+        let num_ops = sys.num_ops() as u64;
+        let run = |engine: Engine, flag: bool| {
+            let phi = Phi::expr(pinned.clone().and(Expr::var(w).eq(Expr::bool(flag))));
+            let sink = Arc::new(RecordingSink::new());
+            let oracle =
+                Oracle::with_sink(&sys, engine, &CompileBudget::default(), sink.clone()).unwrap();
+            let out = q(&phi, &alpha, b).run(&oracle).unwrap();
+            let widest = sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    QueryEvent::BfsLevel { frontier, .. } => Some(frontier * num_ops),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0);
+            let r = out.report;
+            let counts = (r.visited_pairs, r.levels, r.pair_expansions);
+            let witness = out
+                .into_witness()
+                .map(|wit| (wit.history, wit.sigma1, wit.sigma2));
+            (witness, counts, widest)
+        };
+        for flag in [true, false] {
+            let (want, want_counts, _) = run(Engine::Interpreted, flag);
+            assert_eq!(want.is_some(), flag);
+            for engine in [Engine::CompiledDense, Engine::CompiledSparse] {
+                let (got, counts, widest) = run(engine, flag);
+                assert!(
+                    widest >= PAR_LEVEL_EXPANSIONS as u64,
+                    "{engine:?}: widest level has {widest} expansions"
+                );
+                assert_eq!(got, want, "{engine:?} witness, w = {flag}");
+                assert_eq!(counts.0, want_counts.0, "{engine:?} visited, w = {flag}");
+                assert_eq!(counts.1, want_counts.1, "{engine:?} levels, w = {flag}");
+                if !flag {
+                    // The compiled engine charges a whole level before its
+                    // merge stops at a goal, so only an exhaustive search
+                    // expands exactly as many pairs as the interpreted one.
+                    assert_eq!(counts.2, want_counts.2, "{engine:?} expansions");
+                }
+            }
         }
     }
 

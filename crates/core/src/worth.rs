@@ -96,7 +96,7 @@ impl fmt::Display for WorthDisplay<'_> {
 /// Sat(φ) enumeration and one compiled system serve every row.
 pub fn worth(sys: &System, phi: &Phi) -> Result<Worth> {
     let objects: Vec<ObjId> = sys.universe().objects().collect();
-    let rows = parallel_rows(sys, phi, &objects)?;
+    let rows = singleton_sink_rows(sys, phi, &objects)?;
     let mut paths = BTreeSet::new();
     for (alpha, sinks) in objects.into_iter().zip(rows) {
         for beta in sinks.iter() {
@@ -107,8 +107,12 @@ pub fn worth(sys: &System, phi: &Phi) -> Result<Worth> {
 }
 
 /// One sinks row per source object, delegated to the batched matrix
-/// query (shared compilation, parallel rows).
-pub(crate) fn parallel_rows(sys: &System, phi: &Phi, sources: &[ObjId]) -> Result<Vec<ObjSet>> {
+/// query (one compiled system and Sat(φ) enumeration for every row).
+pub(crate) fn singleton_sink_rows(
+    sys: &System,
+    phi: &Phi,
+    sources: &[ObjId],
+) -> Result<Vec<ObjSet>> {
     let sets: Vec<ObjSet> = sources.iter().map(|&a| ObjSet::singleton(a)).collect();
     Ok(crate::query::Query::matrix(phi.clone(), sets)
         .run_on(sys)?

@@ -73,7 +73,7 @@ pub fn transitive_flows(sys: &System) -> Result<Relation> {
 /// The exact semantic flow relation `{(α, β) | α ▷φ β}` via pair
 /// reachability (one sweep per source object).
 pub fn semantic_flows(sys: &System, phi: &Phi) -> Result<Relation> {
-    // One compile + parallel row sweep over all sources, rather than a
+    // One compile + a batched row sweep over all sources, rather than a
     // fresh per-source search for every α.
     let sources: Vec<ObjSet> = sys.universe().objects().map(ObjSet::singleton).collect();
     let rows = sd_core::Query::matrix(phi.clone(), sources)

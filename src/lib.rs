@@ -28,3 +28,9 @@ pub use sd_info as info;
 pub use sd_lang as lang;
 pub use sd_matrix as matrix;
 pub use sd_server as server;
+
+/// The README, whose `rust` blocks `cargo test` compiles and runs as
+/// doctests, so the quickstart keeps up with the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
