@@ -1647,7 +1647,14 @@ fn p7_cone() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut ledger = Ledger::new("cone");
     let mut t = Table::new(&[
-        "system", "|Σ|", "queries", "flows", "cone", "build ms", "sweep ms",
+        "system",
+        "|Σ|",
+        "queries",
+        "flows",
+        "cone",
+        "pair expansions",
+        "build ms",
+        "sweep ms",
     ]);
     for (name, sys) in &systems {
         let u = sys.universe();
@@ -1657,14 +1664,15 @@ fn p7_cone() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(a, b)| Query::new(Phi::True, ObjSet::singleton(a)).beta(b))
             .collect();
         let (build, oracle) = time5(|| Oracle::new(sys))?;
-        let (sweep, (flows, cone)) = time5(|| {
-            let (mut flows, mut cone) = (0u64, 0u64);
+        let (sweep, (flows, cone, expansions)) = time5(|| {
+            let (mut flows, mut cone, mut expansions) = (0u64, 0u64, 0u64);
             for q in &queries {
                 let out = q.run(&oracle)?;
                 flows += u64::from(out.holds());
                 cone += u64::from(out.report.engine == "cone");
+                expansions += out.report.pair_expansions;
             }
-            Ok::<_, sd_core::Error>((flows, cone))
+            Ok::<_, sd_core::Error>((flows, cone, expansions))
         })?;
         let states = sys.state_count()?;
         t.row(&[
@@ -1673,6 +1681,7 @@ fn p7_cone() -> Result<(), Box<dyn std::error::Error>> {
             queries.len().to_string(),
             flows.to_string(),
             cone.to_string(),
+            expansions.to_string(),
             build.to_string(),
             sweep.to_string(),
         ]);
@@ -1681,7 +1690,8 @@ fn p7_cone() -> Result<(), Box<dyn std::error::Error>> {
                 .u64_field("states", states)
                 .u64_field("queries", queries.len() as u64)
                 .u64_field("flows", flows)
-                .u64_field("cone", cone);
+                .u64_field("cone", cone)
+                .u64_field("pair_expansions", expansions);
         });
     }
     print!("{}", t.render());

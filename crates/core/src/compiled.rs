@@ -174,7 +174,7 @@ impl Row<'_> {
 
 /// A read view of one system's successor function: the dense table, a
 /// read guard on the sparse row store, or the interpreter when the
-/// system did not compile. Take one view per BFS level or per prover
+/// system did not compile. Take one view per BFS block or per prover
 /// sweep, after the rows it will read are materialised
 /// ([`CompiledSystem::ensure_rows`], or
 /// [`crate::oracle::Oracle::successors`], which does both).
@@ -429,7 +429,7 @@ fn fill_dense_chunk(sys: &System, chunk: &mut [u32], start_code: u64) -> bool {
 
 /// Number of workers for scoped-thread parallel sections. Cached:
 /// `available_parallelism` is a syscall on Linux, and parallel sections
-/// consult it on the search hot path (for each BFS level and row batch
+/// consult it on the search hot path (for each BFS block and row batch
 /// large enough to go parallel).
 pub(crate) fn worker_count() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();

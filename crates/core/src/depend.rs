@@ -309,12 +309,36 @@ fn tabulate(
 /// outside `A`. The class key is computed arithmetically — the encoding
 /// of the state with every A-object zeroed — so no per-state projection
 /// vector is allocated or hashed. One partition serves every consumer
-/// of the classes: [`crate::reach`] builds its initial pair frontier
-/// from it, and [`strongly_depends_after_with`] reuses it across the
-/// histories of a bounded enumeration.
+/// of the classes: [`crate::reach`] streams its initial pairs from it
+/// and tests candidates against them, and [`strongly_depends_after_with`]
+/// reuses it across the histories of a bounded enumeration.
 #[derive(Debug, Clone)]
 pub struct SatPartition {
     classes: Vec<Vec<u64>>,
+    /// `(class, position)` of every member that has a later member in
+    /// its class, in ascending code order: the first sides of the
+    /// initial pairs, in the order [`SatPartition::root_pairs`]
+    /// streams them.
+    firsts: Vec<(u32, u32)>,
+    /// `(stride, domain size)` of each object in A.
+    a_digits: Vec<(u64, u64)>,
+}
+
+/// `(stride, domain size)` of each object in A.
+fn a_digits(u: &Universe, a: &ObjSet) -> Vec<(u64, u64)> {
+    a.iter()
+        .map(|obj| (u.stride(obj) as u64, u.domain(obj).size() as u64))
+        .collect()
+}
+
+/// `code` with every A-coordinate zeroed: a perfect, allocation-free
+/// key for the `=A=` relation.
+fn off_a_key(a_digits: &[(u64, u64)], code: u64) -> u64 {
+    let mut key = code;
+    for &(stride, dom) in a_digits {
+        key -= stride * ((code / stride) % dom);
+    }
+    key
 }
 
 impl SatPartition {
@@ -331,39 +355,63 @@ impl SatPartition {
     /// when one Sat(φ) enumeration is shared across several source sets
     /// (the worth matrix re-partitions the same codes per row).
     pub fn from_codes(u: &Universe, codes: &[u64], a: &ObjSet) -> SatPartition {
-        let strides: Vec<(u64, u64)> = a
-            .iter()
-            .map(|obj| (u.stride(obj) as u64, u.domain(obj).size() as u64))
-            .collect();
+        let a_digits = a_digits(u, a);
         let mut index = U64Map::new();
         let mut classes: Vec<Vec<u64>> = Vec::new();
+        let mut firsts: Vec<(u32, u32)> = Vec::with_capacity(codes.len());
+        // `codes` is ascending, so members are appended in ascending
+        // order and classes are created in order of their smallest
+        // member: both orders are deterministic without a sort.
         for &code in codes {
-            // key = code with every A-coordinate zeroed: a perfect,
-            // allocation-free key for the =A= relation.
-            let mut key = code;
-            for &(stride, dom) in &strides {
-                key -= stride * ((code / stride) % dom);
-            }
-            match index.get(key) {
-                Some(i) => classes[i as usize].push(code),
+            let key = off_a_key(&a_digits, code);
+            let class = match index.get(key) {
+                Some(i) => i as usize,
                 None => {
                     index.insert(key, classes.len() as u64);
-                    classes.push(vec![code]);
+                    classes.push(Vec::new());
+                    classes.len() - 1
                 }
-            }
+            };
+            let members = &mut classes[class];
+            firsts.push((
+                u32::try_from(class).expect("Sat(φ) has fewer than 2^32 classes"),
+                u32::try_from(members.len()).expect("an =A= class has fewer than 2^32 members"),
+            ));
+            members.push(code);
         }
-        // Deterministic class order (members are already ascending
-        // because `codes` is ascending).
-        classes.sort_unstable();
-        SatPartition { classes }
+        // The last member of each class starts no pair.
+        firsts.retain(|&(c, p)| p as usize + 1 < classes[c as usize].len());
+        SatPartition {
+            classes,
+            firsts,
+            a_digits,
+        }
     }
 
-    /// A partition assembled from explicit classes (each internally
-    /// ascending). The maximal-solution sweep uses this to search one
-    /// cylinder class at a time against a shared compiled system.
-    pub(crate) fn from_classes(mut classes: Vec<Vec<u64>>) -> SatPartition {
+    /// A partition assembled from explicit `=A=` classes (each
+    /// internally ascending), without hashing: the maximal-solution
+    /// sweep searches one cylinder class at a time against a shared
+    /// compiled system. Classes and first sides are sorted once.
+    pub(crate) fn from_classes(
+        u: &Universe,
+        a: &ObjSet,
+        mut classes: Vec<Vec<u64>>,
+    ) -> SatPartition {
         classes.sort_unstable();
-        SatPartition { classes }
+        let mut firsts: Vec<(u32, u32)> = Vec::new();
+        for (c, class) in classes.iter().enumerate() {
+            let c = u32::try_from(c).expect("Sat(φ) has fewer than 2^32 classes");
+            for p in 1..class.len() {
+                let p = u32::try_from(p - 1).expect("an =A= class has fewer than 2^32 members");
+                firsts.push((c, p));
+            }
+        }
+        firsts.sort_unstable_by_key(|&(c, p)| classes[c as usize][p as usize]);
+        SatPartition {
+            classes,
+            firsts,
+            a_digits: a_digits(u, a),
+        }
     }
 
     /// The classes; each inner vector is ascending, classes are sorted
@@ -375,6 +423,33 @@ impl SatPartition {
     /// Total number of φ-states across all classes.
     pub fn num_states(&self) -> usize {
         self.classes.iter().map(Vec::len).sum()
+    }
+
+    /// Every unordered pair of distinct φ-states that differ only at A,
+    /// as `(c1, c2)` with `c1 < c2`, in ascending order — streamed, with
+    /// no sort: for each first side in ascending code order, its later
+    /// classmates in ascending order.
+    pub(crate) fn root_pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.firsts.iter().flat_map(move |&(c, p)| {
+            let class = &self.classes[c as usize];
+            let c1 = class[p as usize];
+            class[p as usize + 1..].iter().map(move |&c2| (c1, c2))
+        })
+    }
+
+    /// How many pairs [`SatPartition::root_pairs`] yields.
+    pub(crate) fn root_pair_count(&self) -> usize {
+        self.classes
+            .iter()
+            .map(|c| c.len() * (c.len() - 1) / 2)
+            .sum()
+    }
+
+    /// Whether two φ-states agree off A, i.e. lie in one class. Both
+    /// codes must be members of Sat(φ).
+    #[inline]
+    pub(crate) fn same_class(&self, c1: u64, c2: u64) -> bool {
+        off_a_key(&self.a_digits, c1) == off_a_key(&self.a_digits, c2)
     }
 }
 

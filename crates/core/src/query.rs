@@ -216,8 +216,10 @@ impl Query {
     }
 
     /// Sets a wall-clock deadline `timeout` from now; a search running
-    /// past it returns [`Error::DeadlineExceeded`]. Checked once per
-    /// BFS level, so overshoot is bounded by one level's expansion.
+    /// past it returns [`Error::DeadlineExceeded`]. Checked at every
+    /// block boundary of the compiled search (once per level on the
+    /// interpreted engine), so overshoot is bounded by one block's
+    /// expansion (see [`SearchLimits`]).
     pub fn timeout(mut self, timeout: Duration) -> Query {
         self.limits.deadline = Some(Instant::now() + timeout);
         self

@@ -14,20 +14,28 @@
 //! - **Compiled** — the [`crate::compiled`] tables: the BFS runs over
 //!   packed `u64` pair codes only, the visited structure is a flat
 //!   [`BitSet`] (falling back to a hash set above
-//!   [`CompileBudget::max_dense_pair_bits`]). A frontier level is
-//!   expanded on the calling thread, or split across scoped threads
-//!   (the caller running the first chunk) once it holds enough pair
-//!   expansions to pay for the spawns. Candidate levels are merged
-//!   sequentially in frontier order, so discovery order — and therefore
-//!   the reconstructed witness and its minimal length — is identical to
-//!   the interpreted engine's, wherever a chunk ran.
+//!   [`CompileBudget::max_dense_pair_bits`]). The roots are streamed
+//!   from the [`SatPartition`] in ascending order, unsorted; they get
+//!   nodes but no visited bit, and a candidate that is a root (both
+//!   sides in Sat(φ), agreeing off A) is dropped by a bit test and a
+//!   masked compare instead. Each later level is expanded in blocks of
+//!   frontier pairs — 256, then twice the previous block — on the
+//!   calling thread, or split across scoped threads (the caller running
+//!   the first chunk) once a block holds enough pair expansions to pay
+//!   for the spawns. After each block its candidates are merged
+//!   sequentially in frontier order, and the merge returns at the first
+//!   goal, so discovery order — and therefore the reconstructed witness
+//!   and its minimal length — is identical to the interpreted engine's,
+//!   wherever a chunk ran, and a flow query leaves the rest of its last
+//!   level unexpanded.
 //!
-//! Both engines check the goal when a pair is *discovered* (inserted into
-//! the visited structure), not when it is dequeued, and both expand pairs
+//! Both engines check the goal when a pair is *discovered* (first
+//! reached), not when it is dequeued, and both expand pairs
 //! in the same frontier × operation order. They are therefore
 //! observationally identical — same verdicts, same minimal witnesses, the
-//! same `visited_pairs`/`levels` in the [`crate::telemetry::QueryReport`]
-//! they fill, and the same first error on invalid systems.
+//! same `visited_pairs`/`levels`/`pair_expansions` in the
+//! [`crate::telemetry::QueryReport`] they fill, and the same first error
+//! on invalid systems.
 //!
 //! Every pair is discovered at its minimal depth, so a search that stops
 //! expanding after level k decides the bounded relation "some history of
@@ -77,9 +85,12 @@ pub struct DependsWitness {
 /// [`Error::DeadlineExceeded`]) rather than partial answers, so a
 /// serving layer can refuse work deterministically. The budget is
 /// engine-independent: both engines discover pairs in the same order,
-/// so they exhaust at the same pair. The deadline is checked once per
-/// BFS level, bounding overshoot by a single level's expansion. Both
-/// apply to bounded queries too, which run the same search.
+/// so they exhaust at the same pair. The compiled engines check the
+/// deadline when the search starts and at every block boundary, root
+/// blocks included (a level's first block holds 256 pairs, each later
+/// one twice the previous), so overshoot is bounded by one block; the
+/// interpreted reference checks it once per level. Both cut-offs apply
+/// to bounded queries too, which run the same search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchLimits {
     /// Maximum distinct pairs the search may discover. A pair that
@@ -136,7 +147,8 @@ fn canon(a: u64, b: u64) -> Pair {
 /// The initial pair frontier: all unordered pairs of distinct φ-states
 /// that differ only at A, in ascending order. Classes are disjoint and
 /// internally ascending, so the pairs are already canonical and
-/// duplicate-free.
+/// duplicate-free. Built and sorted: the interpreted reference for the
+/// compiled engine's stream, [`SatPartition::root_pairs`].
 fn initial_pairs(part: &SatPartition) -> Vec<Pair> {
     let mut out = Vec::new();
     for class in part.classes() {
@@ -292,71 +304,101 @@ struct Node {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// Visited-pair structure for the compiled search: flat bitmap over
-/// `|Σ|²` pair keys when that fits the budget, open-addressed
-/// [`U64Set`] otherwise.
-enum Visited {
+/// A set of `u64` keys below a known bound: a flat bitmap when the
+/// bound fits [`CompileBudget::max_dense_pair_bits`], an open-addressed
+/// [`U64Set`] otherwise. The compiled search keeps its visited pairs in
+/// one (bound `|Σ|²`) and the sides of its roots in another (bound
+/// `|Σ|`).
+enum KeySet {
     Dense(BitSet),
     Sparse(U64Set),
 }
 
-impl Visited {
-    fn with_capacity(ns: u64, budget: &CompileBudget) -> Visited {
-        match ns.checked_mul(ns) {
-            Some(bits) if bits <= budget.max_dense_pair_bits => Visited::Dense(BitSet::new(bits)),
-            _ => Visited::Sparse(U64Set::new()),
+impl KeySet {
+    fn below(bound: Option<u64>, budget: &CompileBudget) -> KeySet {
+        match bound {
+            Some(bits) if bits <= budget.max_dense_pair_bits => KeySet::Dense(BitSet::new(bits)),
+            _ => KeySet::Sparse(U64Set::new()),
         }
     }
 
+    #[inline]
     fn contains(&self, key: u64) -> bool {
         match self {
-            Visited::Dense(b) => b.contains(key),
-            Visited::Sparse(s) => s.contains(key),
+            KeySet::Dense(b) => b.contains(key),
+            KeySet::Sparse(s) => s.contains(key),
         }
     }
 
     fn insert(&mut self, key: u64) -> bool {
         match self {
-            Visited::Dense(b) => b.insert(key),
-            Visited::Sparse(s) => s.insert(key),
+            KeySet::Dense(b) => b.insert(key),
+            KeySet::Sparse(s) => s.insert(key),
+        }
+    }
+
+    /// Empties the set, given every key inserted since it was last
+    /// empty: a bitmap erases just those, in O(keys) instead of
+    /// O(bound).
+    fn clear(&mut self, keys: impl Iterator<Item = u64>) {
+        match self {
+            KeySet::Dense(b) => {
+                for key in keys {
+                    b.remove(key);
+                }
+            }
+            KeySet::Sparse(s) => s.clear(),
         }
     }
 }
 
 /// Reusable scratch for repeated compiled searches over one system: the
-/// visited structure and the BFS node arena. Successor rows are not
-/// scratch: they live in the [`CompiledSystem`]'s one row store, shared
-/// by every search and prover sweep over it.
+/// visited pairs, the marked root sides and the BFS node arena.
+/// Successor rows are not scratch: they live in the [`CompiledSystem`]'s
+/// one row store, shared by every search and prover sweep over it.
 ///
 /// [`crate::oracle::Oracle`] keeps a pool of these so a sweep of many
 /// searches allocates only on growth. Buffers must be created with the
 /// same `ns`/budget as the [`CompiledSystem`] they are used with.
 pub(crate) struct SearchBuffers {
-    visited: Visited,
+    /// Keys of the non-root nodes.
+    visited: KeySet,
+    /// Both sides of every root node.
+    root_sides: KeySet,
+    /// The codes marked in `root_sides`, each once, so `reset` clears
+    /// them without decoding a key per root.
+    sides: Vec<u64>,
     nodes: Vec<Node>,
 }
 
 impl SearchBuffers {
     pub(crate) fn new(ns: u64, budget: &CompileBudget) -> SearchBuffers {
         SearchBuffers {
-            visited: Visited::with_capacity(ns, budget),
+            visited: KeySet::below(ns.checked_mul(ns), budget),
+            root_sides: KeySet::below(Some(ns), budget),
+            sides: Vec::new(),
             nodes: Vec::new(),
         }
     }
 
-    /// Clears the previous search's visited marks and node arena.
-    fn reset(&mut self) {
-        match &mut self.visited {
-            // Every visited key has exactly one node (insert and push are
-            // 1:1 in `compiled_search`), so erasing only the node keys
-            // clears the bitmap in O(visited) instead of O(|Σ|²).
-            Visited::Dense(b) => {
-                for n in &self.nodes {
-                    b.remove(n.key);
-                }
-            }
-            Visited::Sparse(s) => s.clear(),
+    /// Marks `code` as a side of a root.
+    #[inline]
+    fn mark_side(&mut self, code: u64) {
+        if self.root_sides.insert(code) {
+            self.sides.push(code);
         }
+    }
+
+    /// Clears the previous search's marks and node arena. A root owns
+    /// no visited bit, only its sides' marks (listed in `sides`); every
+    /// other node owns its key's visited bit (`compiled_search` inserts
+    /// and pushes 1:1), and roots are the arena's prefix. Both sets are
+    /// therefore cleared in O(nodes) instead of O(|Σ|²).
+    fn reset(&mut self) {
+        let roots = self.nodes.partition_point(|n| n.parent == NO_PARENT);
+        self.visited
+            .clear(self.nodes[roots..].iter().map(|n| n.key));
+        self.root_sides.clear(self.sides.drain(..));
         self.nodes.clear();
     }
 }
@@ -389,18 +431,43 @@ fn reconstruct_compiled(u: &Universe, nodes: &[Node], mut idx: usize, ns: u64) -
     }
 }
 
-/// Frontier pair expansions (frontier pairs × |Δ|) above which a BFS
-/// level is expanded in parallel. One `std::thread::scope` that spawns a
+/// Frontier pair expansions (frontier pairs × |Δ|) above which a block
+/// is expanded in parallel. One `std::thread::scope` that spawns a
 /// helper beside an inline chunk costs ≈ 50 µs on a 2-vCPU x86-64 VM
 /// (≈ 80–90 µs with two spawns); the compiled search runs ≈ 30 ns per
 /// expansion, merge included (≈ 30k expansions per ms in a traced
-/// `sdbench` cold_search), so a level this size takes ≈ 2 ms and
+/// `sdbench` cold_search), so a block this size takes ≈ 2 ms and
 /// splitting it saves about twenty times the spawn. Lower cut-offs
 /// (2¹³, 2¹⁴) served that workload 16 % and 5 % slower.
 const PAR_LEVEL_EXPANSIONS: usize = 1 << 16;
 
-/// Compiled BFS over packed pair codes: per-level expansion (parallel
-/// above [`PAR_LEVEL_EXPANSIONS`]) with a sequential in-order merge (see
+/// Frontier pairs in the first block of a level; each later block of the
+/// level holds twice as many as the one before. A flow query stops at
+/// the block holding its goal's parent, so most of a wide last level is
+/// never expanded, while a level of n pairs still costs only
+/// ≈ log₂(n / 256) merges and row batches. The schedule is fixed (not
+/// derived from the core count), so expansion counts repeat exactly.
+const FIRST_BLOCK: usize = 256;
+
+/// Splits the frontier range `lo..hi` into consecutive blocks of
+/// [`FIRST_BLOCK`], then twice, four times … as many pairs.
+fn blocks(lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut start = lo;
+    let mut len = FIRST_BLOCK;
+    std::iter::from_fn(move || {
+        (start < hi).then(|| {
+            let block = (start, hi.min(start + len));
+            start = block.1;
+            len *= 2;
+            block
+        })
+    })
+}
+
+/// Compiled BFS over packed pair codes. Level 0 streams the roots from
+/// the partition; every later level is expanded block by block (each
+/// block in parallel above [`PAR_LEVEL_EXPANSIONS`]), with a sequential
+/// in-order merge after each block that returns at the first goal (see
 /// module docs for why the merge order matters). Same contract as
 /// [`interpreted_search`].
 pub(crate) fn compiled_search(
@@ -417,144 +484,163 @@ pub(crate) fn compiled_search(
     let num_ops = cs.num_ops();
     trace.report.engine = cs.kind().engine_name();
     bufs.reset();
-    let SearchBuffers { visited, nodes } = bufs;
 
-    // Roots, goal-checked in the same ascending order the interpreted
-    // engine discovers them. Key order equals pair order because the
-    // packing is lexicographic.
-    let mut roots: Vec<u64> = Vec::new();
-    for class in part.classes() {
-        for (i, &c1) in class.iter().enumerate() {
-            for &c2 in &class[i + 1..] {
-                roots.push(c1 * ns + c2);
-            }
-        }
-    }
-    roots.sort_unstable();
+    // Level 0: the roots, goal-checked in the same ascending order the
+    // interpreted engine discovers them (key order equals pair order
+    // because the packing is lexicographic). A root gets a node but no
+    // visited bit; its sides are marked instead, and the pre-filter
+    // below drops every candidate that is a root.
     limits.check_deadline()?;
-    for key in roots {
-        if !visited.insert(key) {
-            continue;
+    let mut roots = part.root_pairs();
+    for (start, end) in blocks(0, part.root_pair_count()) {
+        if start > 0 {
+            limits.check_deadline()?;
         }
-        let idx = push_node(nodes, key, NO_PARENT, 0)?;
-        if found(key / ns, key % ns) {
-            let w = reconstruct_compiled(u, nodes, idx, ns);
-            return finish(trace, nodes.len(), 0, Some(w));
+        for (c1, c2) in roots.by_ref().take(end - start) {
+            bufs.mark_side(c1);
+            bufs.mark_side(c2);
+            let idx = push_node(&mut bufs.nodes, c1 * ns + c2, NO_PARENT, 0)?;
+            if found(c1, c2) {
+                let w = reconstruct_compiled(u, &bufs.nodes, idx, ns);
+                return finish(trace, bufs.nodes.len(), 0, Some(w));
+            }
+            limits.check_pairs(bufs.nodes.len() as u64)?;
         }
-        limits.check_pairs(nodes.len() as u64)?;
     }
 
+    let SearchBuffers {
+        visited,
+        root_sides,
+        nodes,
+        ..
+    } = bufs;
+
+    let min_seq = PAR_LEVEL_EXPANSIONS / num_ops.max(1);
+    let expansions = |pairs: usize| (pairs * num_ops) as u64;
     let mut lo = 0usize;
     let mut depth = 0u32;
     let mut levels = 0u32;
     while lo < nodes.len() && depth < max_depth {
         let hi = nodes.len();
-        limits.check_deadline()?;
         trace.emit(|| QueryEvent::BfsLevel {
             level: depth,
             frontier: (hi - lo) as u64,
             visited: hi as u64,
         });
-        trace.report.pair_expansions += (hi - lo) as u64 * num_ops as u64;
         depth += 1;
-        // Materialise sparse successor rows for every state in the
-        // frontier (a no-op for dense tables), then take this
-        // level's one view of the tables. It is dropped before the next
-        // level materialises more rows.
-        if cs.kind() == TableKind::Sparse {
-            let mut codes: Vec<u64> = Vec::with_capacity((hi - lo) * 2);
-            for n in &nodes[lo..hi] {
-                codes.push(n.key / ns);
-                codes.push(n.key % ns);
+        for (start, end) in blocks(lo, hi) {
+            limits.check_deadline()?;
+            // Materialise sparse successor rows for every state in the
+            // block (a no-op for dense tables), then take this block's
+            // one view of the tables. It is dropped before the next
+            // block materialises more rows.
+            if cs.kind() == TableKind::Sparse {
+                let mut codes: Vec<u64> = Vec::with_capacity((end - start) * 2);
+                for n in &nodes[start..end] {
+                    codes.push(n.key / ns);
+                    codes.push(n.key % ns);
+                }
+                codes.sort_unstable();
+                codes.dedup();
+                cs.ensure_rows(&codes, trace);
             }
-            codes.sort_unstable();
-            codes.dedup();
-            cs.ensure_rows(&codes, trace);
-        }
-        let rows = cs.rows();
-        // Expand the frontier, in parallel chunks when the level is large
-        // enough; each chunk emits candidates in frontier × op order.
-        let frontier: Vec<(u64, u32)> = nodes[lo..hi]
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.key, (lo + i) as u32))
-            .collect();
-        let rows_ref = &rows;
-        let visited_ref = &*visited;
-        let min_seq = PAR_LEVEL_EXPANSIONS / num_ops.max(1);
-        let candidates: Vec<Vec<Node>> = par_map_chunks(&frontier, min_seq, |chunk| {
-            let mut out = Vec::new();
-            for &(key, idx) in chunk {
-                let (c1, c2) = (key / ns, key % ns);
-                // One row borrow per side instead of a table lookup per
-                // operation.
-                let r1 = rows_ref.row(c1);
-                let r2 = rows_ref.row(c2);
-                for op in 0..num_ops {
-                    let n1 = r1.succ(op);
-                    let n2 = r2.succ(op);
-                    if n1 == POISON || n2 == POISON {
-                        // Defer the error so it surfaces in deterministic
-                        // merge order.
+            let rows = cs.rows();
+            // Expand the block, in parallel chunks when it is large
+            // enough; each chunk emits candidates in frontier × op order.
+            let frontier: Vec<(u64, u32)> = nodes[start..end]
+                .iter()
+                .zip(start as u32..)
+                .map(|(n, idx)| (n.key, idx))
+                .collect();
+            let (rows_ref, visited_ref, sides_ref) = (&rows, &*visited, &*root_sides);
+            let candidates: Vec<Vec<Node>> = par_map_chunks(&frontier, min_seq, |chunk| {
+                let mut out = Vec::new();
+                for &(key, idx) in chunk {
+                    let (c1, c2) = (key / ns, key % ns);
+                    // One row borrow per side instead of a table lookup per
+                    // operation.
+                    let r1 = rows_ref.row(c1);
+                    let r2 = rows_ref.row(c2);
+                    for op in 0..num_ops {
+                        let n1 = r1.succ(op);
+                        let n2 = r2.succ(op);
+                        if n1 == POISON || n2 == POISON {
+                            // Defer the error so it surfaces in deterministic
+                            // merge order.
+                            out.push(Node {
+                                key: POISON,
+                                parent: idx,
+                                op: op as u32,
+                            });
+                            continue;
+                        }
+                        if n1 == c1 && n2 == c2 {
+                            // The op moved neither side, so the candidate is
+                            // this very pair — already discovered. Skipping
+                            // here saves the probes; guard-heavy systems
+                            // disable most operations in most states.
+                            continue;
+                        }
+                        if n1 == n2 {
+                            // Coinciding runs stay equal forever.
+                            continue;
+                        }
+                        let (a, b) = if n1 <= n2 { (n1, n2) } else { (n2, n1) };
+                        let key = a * ns + b;
+                        // Pairs already visited when the block started would
+                        // be dropped by the merge anyway; filtering here (a
+                        // read-only probe, safe in parallel) keeps the
+                        // sequential merge proportional to *novel* pairs, not
+                        // to all candidates. A root has no visited bit: it
+                        // is a pair of marked sides in one class. The roots
+                        // are fixed once level 0 is done, so this test is
+                        // final and the merge need not repeat it.
+                        if visited_ref.contains(key)
+                            || (sides_ref.contains(a)
+                                && sides_ref.contains(b)
+                                && part.same_class(a, b))
+                        {
+                            continue;
+                        }
                         out.push(Node {
-                            key: POISON,
+                            key,
                             parent: idx,
                             op: op as u32,
                         });
-                        continue;
                     }
-                    if n1 == c1 && n2 == c2 {
-                        // The op moved neither side, so the candidate is
-                        // this very pair — already visited. Skipping here
-                        // saves the hash probe; guard-heavy systems disable
-                        // most operations in most states.
-                        continue;
+                }
+                out
+            });
+            // Sequential merge in frontier order: discovery order — and
+            // hence witnesses — match the interpreted FIFO exactly.
+            for cand in candidates.into_iter().flatten() {
+                if cand.key == POISON {
+                    // The first poisoned side's error, as the interpreter
+                    // would report it.
+                    let pkey = nodes[cand.parent as usize].key;
+                    let op = cand.op as usize;
+                    rows.step(pkey / ns, op)?;
+                    return Err(rows
+                        .step(pkey % ns, op)
+                        .expect_err("a deferred candidate has a poisoned side"));
+                }
+                if visited.insert(cand.key) {
+                    levels = depth;
+                    let idx = push_node(nodes, cand.key, cand.parent, cand.op)?;
+                    if found(cand.key / ns, cand.key % ns) {
+                        // Charged through the goal's parent pair, where the
+                        // interpreted engine stops expanding too.
+                        trace.report.pair_expansions +=
+                            expansions(cand.parent as usize + 1 - start);
+                        let w = reconstruct_compiled(u, nodes, idx, ns);
+                        return finish(trace, nodes.len(), levels, Some(w));
                     }
-                    if n1 == n2 {
-                        // Coinciding runs stay equal forever.
-                        continue;
-                    }
-                    let key = if n1 <= n2 { n1 * ns + n2 } else { n2 * ns + n1 };
-                    // Pairs already visited at level start would be dropped
-                    // by the merge anyway; filtering here (a read-only
-                    // probe, safe in parallel) keeps the sequential merge
-                    // proportional to *novel* pairs, not to all candidates.
-                    if visited_ref.contains(key) {
-                        continue;
-                    }
-                    out.push(Node {
-                        key,
-                        parent: idx,
-                        op: op as u32,
-                    });
+                    limits.check_pairs(nodes.len() as u64)?;
                 }
             }
-            out
-        });
-        lo = hi;
-        // Sequential merge in frontier order: discovery order — and hence
-        // witnesses — match the interpreted FIFO exactly.
-        for cand in candidates.into_iter().flatten() {
-            if cand.key == POISON {
-                // The first poisoned side's error, as the interpreter
-                // would report it.
-                let pkey = nodes[cand.parent as usize].key;
-                let op = cand.op as usize;
-                rows.step(pkey / ns, op)?;
-                return Err(rows
-                    .step(pkey % ns, op)
-                    .expect_err("a deferred candidate has a poisoned side"));
-            }
-            if visited.insert(cand.key) {
-                levels = depth;
-                let idx = push_node(nodes, cand.key, cand.parent, cand.op)?;
-                if found(cand.key / ns, cand.key % ns) {
-                    let w = reconstruct_compiled(u, nodes, idx, ns);
-                    return finish(trace, nodes.len(), levels, Some(w));
-                }
-                limits.check_pairs(nodes.len() as u64)?;
-            }
+            trace.report.pair_expansions += expansions(end - start);
         }
+        lo = hi;
     }
     finish(trace, nodes.len(), levels, None)
 }
@@ -925,33 +1011,46 @@ mod tests {
     #[test]
     fn buffers_reused_across_searches_do_not_leak() {
         // One SearchBuffers driven through early-exit and exhaustive
-        // searches over different sources must match fresh buffers
-        // every time.
+        // searches over different sources and constraints must match
+        // fresh buffers every time, with bitmaps and with hashed sets.
+        // A thin φ after φ = tt catches root marks left set: stale marks
+        // would pass candidates outside Sat(φ) off as roots.
         let sys = flag_sys();
         let u = sys.universe();
         let b = u.obj("beta").unwrap();
-        let budget = CompileBudget::default();
+        let flag = u.obj("flag").unwrap();
         let ns = sys.state_count().unwrap();
         let (b_stride, b_dom) = extractor(u, b);
-        for kind in [TableKind::Dense, TableKind::Sparse] {
-            let cs = CompiledSystem::compile(&sys, kind).unwrap();
-            let mut reused = SearchBuffers::new(ns, &budget);
-            for _round in 0..3 {
-                for src in ["alpha", "beta", "flag", "x"] {
-                    let a = ObjSet::singleton(u.obj(src).unwrap());
-                    let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
-                    // Early-exit search (leaves the buffers mid-sweep).
-                    let goal =
-                        |c1: u64, c2: u64| (c1 / b_stride) % b_dom != (c2 / b_stride) % b_dom;
-                    let mut fresh = SearchBuffers::new(ns, &budget);
-                    let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, goal);
-                    let got = run_compiled(&cs, &part, &mut reused, u32::MAX, goal);
-                    assert_eq!(got, want, "early exit diverges for {src} / {kind:?}");
-                    // Exhaustive search.
-                    let mut fresh = SearchBuffers::new(ns, &budget);
-                    let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, |_, _| false);
-                    let got = run_compiled(&cs, &part, &mut reused, u32::MAX, |_, _| false);
-                    assert_eq!(got, want, "exhaustive search diverges for {src}");
+        let hashed = CompileBudget {
+            max_dense_pair_bits: 0,
+            ..CompileBudget::default()
+        };
+        for budget in [CompileBudget::default(), hashed] {
+            for kind in [TableKind::Dense, TableKind::Sparse] {
+                let cs = CompiledSystem::compile(&sys, kind).unwrap();
+                let mut reused = SearchBuffers::new(ns, &budget);
+                for _round in 0..3 {
+                    for phi in [Phi::True, Phi::expr(Expr::var(flag).not())] {
+                        for src in ["alpha", "beta", "flag", "x"] {
+                            let a = ObjSet::singleton(u.obj(src).unwrap());
+                            let part = SatPartition::new(&sys, &phi, &a).unwrap();
+                            let what = format!("{src} / {phi:?} / {kind:?} / {budget:?}");
+                            // Early-exit search (leaves the buffers
+                            // mid-sweep).
+                            let goal = |c1: u64, c2: u64| {
+                                (c1 / b_stride) % b_dom != (c2 / b_stride) % b_dom
+                            };
+                            let mut fresh = SearchBuffers::new(ns, &budget);
+                            let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, goal);
+                            let got = run_compiled(&cs, &part, &mut reused, u32::MAX, goal);
+                            assert_eq!(got, want, "early exit diverges for {what}");
+                            // Exhaustive search.
+                            let mut fresh = SearchBuffers::new(ns, &budget);
+                            let want = run_compiled(&cs, &part, &mut fresh, u32::MAX, |_, _| false);
+                            let got = run_compiled(&cs, &part, &mut reused, u32::MAX, |_, _| false);
+                            assert_eq!(got, want, "exhaustive search diverges for {what}");
+                        }
+                    }
                 }
             }
         }
@@ -974,13 +1073,13 @@ mod tests {
         }
     }
 
-    /// A system whose BFS levels are wide enough to go parallel: x
-    /// (0..63) has 63 counter ops (`x += k mod 64`), y (0..1) one toggle,
-    /// and `leak` sets β to `α > 2` once x = 63 and y = 1, if the flag w
-    /// (which nothing writes) is set.
+    /// A system whose BFS levels hold blocks wide enough to go parallel:
+    /// x (0..63) has 63 counter ops (`x += k mod 64`), y (0..1) one
+    /// toggle, and `leak` sets β to `α > 2` once x = 63 and y = 1, if the
+    /// flag w (which nothing writes) is set.
     fn wide_sys() -> System {
         let u = Universe::new(vec![
-            ("alpha".into(), Domain::int_range(0, 6).unwrap()),
+            ("alpha".into(), Domain::int_range(0, 8).unwrap()),
             ("beta".into(), Domain::boolean()),
             ("x".into(), Domain::int_range(0, 63).unwrap()),
             ("y".into(), Domain::int_range(0, 1).unwrap()),
@@ -1011,11 +1110,14 @@ mod tests {
 
     #[test]
     fn parallel_levels_match_the_interpreted_engine() {
-        // Levels above PAR_LEVEL_EXPANSIONS are split across threads; the
-        // merge must still discover pairs in the interpreted FIFO order.
-        // φ pins everything but α: 21 root pairs, whose levels 1 and 2
-        // hold 21 · 64 and 21 · 63 pairs of 65 operations each. With w
-        // set the search stops at a flow; without, it is exhaustive.
+        // Blocks above PAR_LEVEL_EXPANSIONS are split across threads; the
+        // merge must still discover pairs in the interpreted FIFO order,
+        // and a flow query must stop expanding at its goal's parent pair
+        // as the interpreted engine does. φ pins everything but α: 36
+        // root pairs, whose levels 1 and 2 hold 36 · 64 and 36 · 63
+        // pairs of 65 operations each, so their third blocks (1,024
+        // pairs) go parallel. With w set the search stops at a flow on
+        // level 3; without, it is exhaustive.
         let sys = wide_sys();
         let u = sys.universe();
         let [a, b, x, y, w] = ["alpha", "beta", "x", "y", "w"].map(|n| u.obj(n).unwrap());
@@ -1024,7 +1126,7 @@ mod tests {
             .and(Expr::var(y).eq(Expr::int(0)))
             .and(Expr::var(b).not());
         let alpha = ObjSet::singleton(a);
-        let num_ops = sys.num_ops() as u64;
+        let min_seq = PAR_LEVEL_EXPANSIONS / sys.num_ops();
         let run = |engine: Engine, flag: bool| {
             let phi = Phi::expr(pinned.clone().and(Expr::var(w).eq(Expr::bool(flag))));
             let sink = Arc::new(RecordingSink::new());
@@ -1035,7 +1137,9 @@ mod tests {
                 .events()
                 .iter()
                 .filter_map(|e| match e {
-                    QueryEvent::BfsLevel { frontier, .. } => Some(frontier * num_ops),
+                    QueryEvent::BfsLevel { frontier, .. } => {
+                        blocks(0, *frontier as usize).map(|(s, e)| e - s).max()
+                    }
                     _ => None,
                 })
                 .max()
@@ -1053,18 +1157,63 @@ mod tests {
             for engine in [Engine::CompiledDense, Engine::CompiledSparse] {
                 let (got, counts, widest) = run(engine, flag);
                 assert!(
-                    widest >= PAR_LEVEL_EXPANSIONS as u64,
-                    "{engine:?}: widest level has {widest} expansions"
+                    widest > min_seq,
+                    "{engine:?}: widest block has {widest} pairs"
                 );
                 assert_eq!(got, want, "{engine:?} witness, w = {flag}");
-                assert_eq!(counts.0, want_counts.0, "{engine:?} visited, w = {flag}");
-                assert_eq!(counts.1, want_counts.1, "{engine:?} levels, w = {flag}");
-                if !flag {
-                    // The compiled engine charges a whole level before its
-                    // merge stops at a goal, so only an exhaustive search
-                    // expands exactly as many pairs as the interpreted one.
-                    assert_eq!(counts.2, want_counts.2, "{engine:?} expansions");
+                assert_eq!(counts, want_counts, "{engine:?} counts, w = {flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_roots_are_the_sorted_initial_pairs() {
+        // The compiled engine streams `root_pairs` unsorted; the
+        // interpreted engine's sorted `initial_pairs` is the reference.
+        // `same_class` must agree with the class lists on every pair of
+        // members.
+        use rand::{Rng, SeedableRng};
+        let check = |part: &SatPartition| {
+            let streamed: Vec<Pair> = part.root_pairs().collect();
+            assert_eq!(streamed, initial_pairs(part));
+            assert_eq!(streamed.len(), part.root_pair_count());
+            let class_of: HashMap<u64, usize> = part
+                .classes()
+                .iter()
+                .enumerate()
+                .flat_map(|(i, class)| class.iter().map(move |&c| (c, i)))
+                .collect();
+            for (&c1, i) in &class_of {
+                for (&c2, j) in &class_of {
+                    assert_eq!(part.same_class(c1, c2), i == j, "{c1} {c2}");
                 }
+            }
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        for _ in 0..200 {
+            let objects = (0..rng.gen_range(1..=4))
+                .map(|i| {
+                    let hi = rng.gen_range(0..=3);
+                    (format!("v{i}"), Domain::int_range(0, hi).unwrap())
+                })
+                .collect();
+            let u = Universe::new(objects).unwrap();
+            let ns = u.state_count() as u64;
+            let codes: Vec<u64> = (0..ns).filter(|_| rng.gen_bool(0.6)).collect();
+            let a = ObjSet::from_iter(u.objects().filter(|_| rng.gen_bool(0.4)));
+            let part = SatPartition::from_codes(&u, &codes, &a);
+            check(&part);
+            // The same classes handed over explicitly, in reverse, and
+            // one class as a partition of its own, as the maximal-solution
+            // sweep builds them.
+            let reversed = part.classes().iter().rev().cloned().collect();
+            let explicit = SatPartition::from_classes(&u, &a, reversed);
+            assert_eq!(explicit.classes(), part.classes());
+            check(&explicit);
+            if let Some(class) = part.classes().iter().max_by_key(|c| c.len()) {
+                let single = SatPartition::from_classes(&u, &a, vec![class.clone()]);
+                assert_eq!(single.classes(), std::slice::from_ref(class));
+                check(&single);
             }
         }
     }

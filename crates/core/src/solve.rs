@@ -38,6 +38,7 @@ pub fn unique_maximal_independent_solution(
     sink: ObjId,
 ) -> Result<Phi> {
     let sys = oracle.system();
+    let u = sys.universe();
     let n = sys.state_count()?;
     let partition = oracle.partition(&Phi::True, sources)?;
     let classes = partition.classes();
@@ -47,7 +48,7 @@ pub fn unique_maximal_independent_solution(
         chunk
             .iter()
             .map(|class| -> Result<bool> {
-                let part = SatPartition::from_classes(vec![class.clone()]);
+                let part = SatPartition::from_classes(u, sources, vec![class.clone()]);
                 let (witness, _) = oracle.depends_partition(
                     &part,
                     sink,

@@ -125,11 +125,14 @@ pub struct QueryReport {
     /// Wall-clock nanoseconds for the whole run (excluding any fresh
     /// compile, which is reported by [`QueryEvent::CompileFinish`]).
     pub wall_ns: u64,
-    /// Distinct canonical state pairs discovered (summed over rows for
-    /// matrix queries).
+    /// Distinct canonical state pairs discovered, the initial pairs
+    /// included (summed over rows for matrix queries).
     pub visited_pairs: u64,
-    /// Pair expansions attempted: frontier pairs × operations, summed
-    /// over all levels. Unlike `visited_pairs` this counts work, not
+    /// Pair expansions: operations × frontier pairs expanded, in
+    /// frontier order. A search that stops at a goal is charged through
+    /// the goal's parent pair, the pair whose expansion discovered it;
+    /// the rest of that level is not expanded and not charged. The same
+    /// on every engine. Unlike `visited_pairs` this counts work, not
     /// discoveries, so it is the better proxy for search cost.
     pub pair_expansions: u64,
     /// Deepest BFS level reached (max over rows for matrix queries).
@@ -141,7 +144,10 @@ pub struct QueryReport {
     /// Whether this run compiled the system itself (one-shot runs) as
     /// opposed to reusing a shared Oracle's tables.
     pub fresh_compile: bool,
-    /// Sparse successor rows served from the memo.
+    /// Sparse successor rows served from the memo. The compiled search
+    /// requests the rows of each frontier block's states, so a state
+    /// whose pairs fall in several blocks of a level counts once per
+    /// block. The count repeats for a fixed request list.
     pub rows_reused: u64,
     /// Sparse successor rows interpreted by this query.
     pub rows_materialized: u64,

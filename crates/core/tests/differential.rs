@@ -1,8 +1,9 @@
 //! Differential tests: every engine behind [`Query`] must be
 //! observationally identical to the interpreted reference on valid
 //! systems — same verdicts, same (minimal-length) witnesses, same sink
-//! sets — across random systems and every example system from the
-//! paper. Bounded queries are checked against brute-force history
+//! sets, and, wherever it searched, the same visited pairs, levels and
+//! pair expansions — across random systems and every example system
+//! from the paper. Bounded queries are checked against brute-force history
 //! enumeration (the Def 2-7 check on every history up to the bound).
 
 use rand::rngs::StdRng;
@@ -11,7 +12,7 @@ use sd_core::depend::strongly_depends_after;
 use sd_core::history::histories_up_to;
 use sd_core::{
     examples, Cmd, CompileBudget, DependsWitness, Domain, Engine, Expr, History, ObjId, ObjSet, Op,
-    Oracle, Phi, Query, QueryOutcome, State, System, Universe,
+    Oracle, Phi, Query, QueryOutcome, QueryReport, State, System, Universe,
 };
 
 const BUDGET: CompileBudget = CompileBudget {
@@ -44,10 +45,29 @@ const ENGINES: [Mode; 5] = [
 /// Runs `q` in `mode`.
 fn run(sys: &System, q: &Query, mode: Mode) -> QueryOutcome {
     match mode {
-        Some(engine) => q
-            .run(&Oracle::with_engine(sys, engine, &BUDGET).unwrap())
-            .unwrap(),
+        Some(engine) => run_with(sys, q, engine, &BUDGET),
         None => q.run_on(sys).unwrap(),
+    }
+}
+
+/// Runs `q` on a fresh Oracle pinned to `engine` under `budget`.
+fn run_with(sys: &System, q: &Query, engine: Engine, budget: &CompileBudget) -> QueryOutcome {
+    q.run(&Oracle::with_engine(sys, engine, budget).unwrap())
+        .unwrap()
+}
+
+/// The search counts `(visited pairs, levels, pair expansions)` that
+/// every engine must report alike.
+fn counts(r: &QueryReport) -> (u64, u32, u64) {
+    (r.visited_pairs, r.levels, r.pair_expansions)
+}
+
+/// Asserts that a β- or set-target run's search counts equal the
+/// interpreted reference's, unless the cone decided the run without a
+/// search.
+fn assert_counts(got: &QueryReport, reference: &QueryReport, what: &str) {
+    if got.engine != "cone" {
+        assert_eq!(counts(got), counts(reference), "{what}: search counts");
     }
 }
 
@@ -115,8 +135,8 @@ fn random_phi(sys: &System, rng: &mut StdRng) -> Phi {
     }
 }
 
-fn witness_fields(w: Option<DependsWitness>) -> Option<(usize, State, State)> {
-    w.map(|w| (w.history.len(), w.sigma1, w.sigma2))
+fn witness_fields(w: Option<DependsWitness>) -> Option<(History, State, State)> {
+    w.map(|w| (w.history, w.sigma1, w.sigma2))
 }
 
 /// Replays a witness: both states satisfy φ, differ only at A, and the
@@ -139,13 +159,17 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     let query = Query::new(phi.clone(), a.clone());
     for &beta in &objects {
         let q = query.clone().beta(beta);
-        let reference = run(sys, &q, INTERPRETED).into_witness();
+        let reference = run(sys, &q, INTERPRETED);
+        let report = reference.report;
+        let reference = reference.into_witness();
         if let Some(w) = &reference {
             assert_witness_valid(sys, phi, a, beta, w);
         }
         let reference = witness_fields(reference);
         for engine in COMPILED {
-            let got = run(sys, &q, engine).into_witness();
+            let got = run(sys, &q, engine);
+            assert_counts(&got.report, &report, &format!("{engine:?}, beta {beta:?}"));
+            let got = got.into_witness();
             if let Some(w) = &got {
                 assert_witness_valid(sys, phi, a, beta, w);
             }
@@ -158,12 +182,18 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     }
     // Set target: the first two objects simultaneously.
     let q = query.clone().set(objects.iter().take(2).copied().collect());
-    let reference = witness_fields(run(sys, &q, INTERPRETED).into_witness());
+    let reference = run(sys, &q, INTERPRETED);
     for engine in COMPILED {
-        let got = witness_fields(run(sys, &q, engine).into_witness());
-        assert_eq!(got, reference, "set-target mismatch: {engine:?}");
+        let got = run(sys, &q, engine);
+        assert_counts(&got.report, &reference.report, &format!("{engine:?} set"));
+        assert_eq!(
+            witness_fields(got.into_witness()),
+            witness_fields(reference.clone().into_witness()),
+            "set-target mismatch: {engine:?}"
+        );
     }
-    // Sinks row.
+    // Sinks row. No counts: the compiled engines drop objects whose
+    // cone misses A from the goal set, so their search may stop sooner.
     let reference = run(sys, &query, INTERPRETED).into_sinks();
     for engine in COMPILED {
         let got = run(sys, &query, engine).into_sinks();
@@ -275,7 +305,7 @@ fn bounded_witnesses_are_the_unbounded_ones() {
                     for k in 0..=3usize {
                         let bounded =
                             witness_fields(run(sys, &q.clone().bounded(k), engine).into_witness());
-                        let want = exact.clone().filter(|(len, _, _)| *len <= k);
+                        let want = exact.clone().filter(|(h, _, _)| h.len() <= k);
                         assert_eq!(bounded, want, "bounded({k}) on {engine:?}");
                     }
                 }
@@ -321,5 +351,88 @@ fn engines_agree_on_paper_examples() {
                 assert_eq!(Some(row), reference, "matrix row mismatch for {a:?}");
             }
         }
+    }
+}
+
+#[test]
+fn root_to_root_steps_match_the_interpreted_engine() {
+    // `rot` maps every initial pair (two states differing only at a) onto
+    // another initial pair, so whether the compiled engines drop those
+    // candidates rests on their root test alone: roots own no visited
+    // mark. `leak` copies `a > 1` into b once x = 2; `mask` writes c from
+    // a without transmitting anything, so a ▷ c needs an exhaustive
+    // search that the cone cannot skip. Each query runs on a dense
+    // visited bitmap, on a hashed visited set (|Σ|² above the pair-bit
+    // budget) and on sparse rows.
+    let u = Universe::new(vec![
+        ("a".into(), Domain::int_range(0, 3).unwrap()),
+        ("b".into(), Domain::boolean()),
+        ("c".into(), Domain::int_range(0, 1).unwrap()),
+        ("x".into(), Domain::int_range(0, 2).unwrap()),
+    ])
+    .unwrap();
+    let [a, b, c, x] = ["a", "b", "c", "x"].map(|n| u.obj(n).unwrap());
+    let ops = vec![
+        Op::from_cmd(
+            "rot",
+            Cmd::assign(a, Expr::var(a).add(Expr::int(1)).modulo(Expr::int(4))),
+        ),
+        Op::from_cmd(
+            "leak",
+            Cmd::when(
+                Expr::var(x).eq(Expr::int(2)),
+                Cmd::assign(b, Expr::var(a).gt(Expr::int(1))),
+            ),
+        ),
+        Op::from_cmd("mask", Cmd::assign(c, Expr::var(a).sub(Expr::var(a)))),
+        Op::from_cmd(
+            "x",
+            Cmd::assign(x, Expr::var(x).add(Expr::int(1)).modulo(Expr::int(3))),
+        ),
+    ];
+    let sys = System::new(u, ops);
+    sys.validate().unwrap();
+    let hashed = CompileBudget {
+        max_dense_pair_bits: 0,
+        ..BUDGET
+    };
+    let runs = [
+        (Engine::CompiledDense, BUDGET),
+        (Engine::CompiledDense, hashed),
+        (Engine::CompiledSparse, BUDGET),
+    ];
+    let a_only = ObjSet::singleton(a);
+    let x_is_0 = Phi::expr(Expr::var(x).eq(Expr::int(0)));
+    let queries = [
+        Query::new(Phi::True, a_only.clone()).beta(b),
+        Query::new(x_is_0.clone(), a_only.clone()).beta(b),
+        Query::new(Phi::True, a_only.clone()).beta(c),
+        Query::new(x_is_0, a_only.clone()),
+    ];
+    for (i, q) in queries.iter().enumerate() {
+        let reference = run_with(&sys, q, Engine::Interpreted, &BUDGET);
+        assert!(reference.report.visited_pairs > 0);
+        for (engine, budget) in &runs {
+            let got = run_with(&sys, q, *engine, budget);
+            let what = format!("query {i}, {engine:?}, {budget:?}");
+            assert_eq!(got.report.engine, engine_name(*engine), "{what}");
+            assert_eq!(counts(&got.report), counts(&reference.report), "{what}");
+            assert_eq!(
+                witness_fields(got.clone().into_witness()),
+                witness_fields(reference.clone().into_witness()),
+                "{what}"
+            );
+            assert_eq!(got.into_sinks(), reference.clone().into_sinks(), "{what}");
+        }
+    }
+    // The flow queries do flow, and a ▷ c does not.
+    assert!(run(&sys, &queries[0], INTERPRETED).holds());
+    assert!(!run(&sys, &queries[2], INTERPRETED).holds());
+}
+
+fn engine_name(engine: Engine) -> &'static str {
+    match engine {
+        Engine::CompiledSparse => "compiled-sparse",
+        _ => "compiled-dense",
     }
 }
