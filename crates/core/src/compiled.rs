@@ -8,8 +8,9 @@
 //! successor table `next[code · |Δ| + op] → code'` of `u32` codes.
 //!
 //! Two table layouts are provided; the Oracle picks one from the
-//! [`Engine`], the [`CompileBudget`] and the state space (see
-//! [`crate::oracle`]):
+//! [`CompileBudget`] and the state space (see [`crate::oracle`]). Both
+//! store the same `u32` rows, one cell per operation, filled by one row
+//! interpreter:
 //!
 //! - **Dense**: every successor is precomputed up front, split over
 //!   state-code ranges across the workers once the system has 1,024
@@ -26,9 +27,10 @@
 //! interpreted form for systems that do not compile.
 //!
 //! Operations that *error* on a state (possible when
-//! `System::validate` would fail) are stored as a poison sentinel;
-//! `Rows::step` re-interprets on access to surface the precise
-//! [`Error`].
+//! `System::validate` would fail) are stored as the poison sentinel
+//! `u32::MAX`, which no state code equals: a compiled system has fewer
+//! than 2³² − 1 states. `Rows::step` re-interprets on access to surface
+//! the precise [`Error`].
 
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -49,10 +51,8 @@ use crate::telemetry::{QueryEvent, Trace};
 /// saves about ten times the spawn.
 const PAR_ROW_OPS: usize = 1 << 13;
 
-/// Dense-table sentinel: "this operation errors on this state".
-const POISON32: u32 = u32::MAX;
-/// 64-bit poison sentinel used by sparse rows and [`Row::succ`].
-pub(crate) const POISON: u64 = u64::MAX;
+/// Successor-row sentinel: "this operation errors on this state".
+pub(crate) const POISON: u32 = u32::MAX;
 
 /// Resource budget steering the automatic engine choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +86,6 @@ pub enum Engine {
     Auto,
     /// The original AST-interpreting BFS (reference implementation).
     Interpreted,
-    /// Force a dense upfront table.
-    CompiledDense,
-    /// Force sparse memoised rows.
-    CompiledSparse,
 }
 
 /// Table layout of a compiled system.
@@ -128,7 +124,7 @@ pub(crate) struct CompiledSystem<'s> {
 /// The successor table behind a [`CompiledSystem`].
 enum Table {
     /// State-major dense table: `next[code · num_ops + op]`, and whether
-    /// any entry is [`POISON32`].
+    /// any entry is [`POISON`].
     Dense(Vec<u32>, bool),
     /// The system's one sparse row store, shared by every search and
     /// prover sweep over it.
@@ -141,35 +137,7 @@ enum Table {
 pub(crate) struct SparseMemo {
     /// State code → offset of its row in `rows` (row length = `num_ops`).
     index: U64Map,
-    rows: Vec<u64>,
-}
-
-/// One state's successor row, borrowed from whichever table layout the
-/// system compiled to. Produced by [`Rows::row`].
-#[derive(Clone, Copy)]
-pub(crate) enum Row<'a> {
-    /// A dense-table row; [`POISON32`] marks erroring operations.
-    Dense(&'a [u32]),
-    /// A sparse memoised row; [`POISON`] marks erroring operations.
-    Sparse(&'a [u64]),
-}
-
-impl Row<'_> {
-    /// Successor under operation `op`, or [`POISON`].
-    #[inline]
-    pub(crate) fn succ(&self, op: usize) -> u64 {
-        match *self {
-            Row::Dense(r) => {
-                let v = r[op];
-                if v == POISON32 {
-                    POISON
-                } else {
-                    u64::from(v)
-                }
-            }
-            Row::Sparse(r) => r[op],
-        }
-    }
+    rows: Vec<u32>,
 }
 
 /// A read view of one system's successor function: the dense table, a
@@ -196,22 +164,20 @@ pub(crate) enum Rows<'a> {
 }
 
 impl Rows<'_> {
-    /// The full successor row of `code` — one borrow instead of a table
-    /// lookup per operation, for the search's hot loop. Sparse rows must
-    /// have been materialised before the view was taken; interpreted
-    /// views have no rows.
+    /// The full successor row of `code`, [`POISON`] marking erroring
+    /// operations — one borrow instead of a table lookup per operation,
+    /// for the search's hot loop. Sparse rows must have been materialised
+    /// before the view was taken; interpreted views have no rows.
     #[inline]
-    pub(crate) fn row(&self, code: u64) -> Row<'_> {
+    pub(crate) fn row(&self, code: u64) -> &[u32] {
         match self {
-            Rows::Dense(cs, table) => {
-                Row::Dense(&table[code as usize * cs.num_ops..][..cs.num_ops])
-            }
+            Rows::Dense(cs, table) => &table[code as usize * cs.num_ops..][..cs.num_ops],
             Rows::Sparse(cs, memo) => {
                 let off =
                     memo.index
                         .get(code)
                         .expect("sparse row materialised before use") as usize;
-                Row::Sparse(&memo.rows[off..off + cs.num_ops])
+                &memo.rows[off..off + cs.num_ops]
             }
             Rows::Interpreted(_) => unreachable!("interpreted views have no successor rows"),
         }
@@ -225,12 +191,12 @@ impl Rows<'_> {
             Rows::Interpreted(sys) => return interpret(sys, code, op),
             Rows::Dense(cs, _) | Rows::Sparse(cs, _) => cs,
         };
-        match self.row(code).succ(op) {
+        match self.row(code)[op] {
             POISON => Err(match interpret(cs.sys, code, op) {
                 Err(e) => e,
                 Ok(_) => Error::Invalid("poison entry without interpreter error".into()),
             }),
-            next => Ok(next),
+            next => Ok(u64::from(next)),
         }
     }
 }
@@ -243,12 +209,36 @@ fn interpret(sys: &System, code: u64, op: usize) -> Result<u64> {
         .encode(u))
 }
 
+/// Interprets every operation on the state encoded by `code` into `out`
+/// (one cell per operation, [`POISON`] where the operation errors), and
+/// returns whether any operation errored. Fills the rows of both table
+/// layouts.
+fn interpret_row(sys: &System, code: u64, out: &mut [u32]) -> bool {
+    let u = sys.universe();
+    let sigma = State::decode(u, code);
+    let mut poisoned = false;
+    for (op, cell) in out.iter_mut().enumerate() {
+        *cell = match sys.apply(OpId(op as u32), &sigma) {
+            Ok(next) => next.encode(u) as u32,
+            Err(_) => {
+                poisoned = true;
+                POISON
+            }
+        };
+    }
+    poisoned
+}
+
 impl<'s> CompiledSystem<'s> {
     /// Compiles `sys` to the given table layout. Which layout a system
     /// gets is the Oracle's decision (`oracle::choose_tables`); the
-    /// caller guarantees that state codes fit `u32`.
+    /// caller guarantees that every state code is below [`POISON`].
     pub(crate) fn compile(sys: &'s System, kind: TableKind) -> Result<CompiledSystem<'s>> {
         let ns = sys.state_count()?;
+        assert!(
+            ns <= u64::from(POISON),
+            "state codes fit below the sentinel"
+        );
         let num_ops = sys.num_ops();
         let table = match kind {
             TableKind::Dense => {
@@ -329,16 +319,16 @@ impl<'s> CompiledSystem<'s> {
         };
         let mut materialized = 0u64;
         if !missing.is_empty() {
-            let min_seq = PAR_ROW_OPS / self.num_ops.max(1);
-            let computed: Vec<Vec<u64>> = par_map_chunks(&missing, min_seq, |chunk| {
-                let mut rows = Vec::with_capacity(chunk.len() * self.num_ops);
-                for &code in chunk {
-                    self.interpret_row(code, &mut rows);
+            let n = self.num_ops;
+            let min_seq = PAR_ROW_OPS / n.max(1);
+            let computed: Vec<Vec<u32>> = par_map_chunks(&missing, min_seq, |chunk| {
+                let mut rows = vec![POISON; chunk.len() * n];
+                for (i, &code) in chunk.iter().enumerate() {
+                    interpret_row(self.sys, code, &mut rows[i * n..][..n]);
                 }
                 rows
             });
             let rows = computed.concat();
-            let n = self.num_ops;
             let mut memo = store.write().expect("row store lock");
             for (i, &code) in missing.iter().enumerate() {
                 if memo.index.get(code).is_none() {
@@ -359,18 +349,6 @@ impl<'s> CompiledSystem<'s> {
             });
         }
     }
-
-    /// Interprets one state's full successor row into `out`.
-    fn interpret_row(&self, code: u64, out: &mut Vec<u64>) {
-        let u = self.sys.universe();
-        let sigma = State::decode(u, code);
-        for op in 0..self.num_ops {
-            out.push(match self.sys.apply(OpId(op as u32), &sigma) {
-                Ok(next) => next.encode(u),
-                Err(_) => POISON,
-            });
-        }
-    }
 }
 
 /// Builds the dense state-major table, splitting the state-code range
@@ -381,7 +359,7 @@ fn build_dense(sys: &System, ns: u64, num_ops: usize) -> (Vec<u32>, bool) {
     if total == 0 {
         return (Vec::new(), false);
     }
-    let mut table = vec![POISON32; total];
+    let mut table = vec![POISON; total];
     let threads = worker_count();
     if threads <= 1 || ns < 1024 {
         let poisoned = fill_dense_chunk(sys, &mut table, 0);
@@ -409,22 +387,12 @@ fn build_dense(sys: &System, ns: u64, num_ops: usize) -> (Vec<u32>, bool) {
 /// Fills `chunk` (whole rows) with successors of codes starting at
 /// `start_code`, returning whether any operation errored.
 fn fill_dense_chunk(sys: &System, chunk: &mut [u32], start_code: u64) -> bool {
-    let u = sys.universe();
-    let num_ops = sys.num_ops();
-    let mut poisoned = false;
-    for (row, cells) in chunk.chunks_mut(num_ops).enumerate() {
-        let sigma = State::decode(u, start_code + row as u64);
-        for (op, cell) in cells.iter_mut().enumerate() {
-            *cell = match sys.apply(OpId(op as u32), &sigma) {
-                Ok(next) => next.encode(u) as u32,
-                Err(_) => {
-                    poisoned = true;
-                    POISON32
-                }
-            };
-        }
-    }
-    poisoned
+    chunk
+        .chunks_mut(sys.num_ops())
+        .zip(start_code..)
+        .fold(false, |poisoned, (row, code)| {
+            interpret_row(sys, code, row) | poisoned
+        })
 }
 
 /// Number of workers for scoped-thread parallel sections. Cached:
@@ -507,6 +475,7 @@ mod tests {
         sparse.ensure_rows(&all, &mut Trace::disabled());
         let (dense, sparse) = (dense.rows(), sparse.rows());
         for code in 0..ns {
+            assert_eq!(dense.row(code), sparse.row(code), "row of {code}");
             let sigma = State::decode(u, code);
             for op in sys.op_ids() {
                 let expect = sys.apply(op, &sigma).unwrap().encode(u);
@@ -590,12 +559,17 @@ mod tests {
                 Cmd::assign(x, Expr::var(x).add(Expr::int(1))),
             )],
         );
-        let cs = CompiledSystem::compile(&sys, TableKind::Dense).unwrap();
+        let (dense, sparse) = compile_both(&sys);
         // x = 2 overflows the domain.
-        assert!(!cs.is_total());
-        let rows = cs.rows();
-        assert_eq!(rows.row(2).succ(0), POISON);
-        assert!(matches!(rows.step(2, 0), Err(Error::OutOfDomain { .. })));
-        assert_eq!(rows.step(1, 0).unwrap(), 2);
+        assert!(!dense.is_total() && !sparse.is_total());
+        sparse.ensure_rows(&[0, 1, 2], &mut Trace::disabled());
+        // Both layouts hold the same u32 rows, sentinel included.
+        for rows in [dense.rows(), sparse.rows()] {
+            assert_eq!(rows.row(0), &[1]);
+            assert_eq!(rows.row(1), &[2]);
+            assert_eq!(rows.row(2), &[POISON]);
+            assert!(matches!(rows.step(2, 0), Err(Error::OutOfDomain { .. })));
+            assert_eq!(rows.step(1, 0).unwrap(), 2);
+        }
     }
 }

@@ -47,7 +47,6 @@ pub mod induction;
 pub mod inferential;
 pub mod json;
 pub mod mechanism;
-pub mod metrics;
 pub mod observe;
 pub mod op;
 pub mod oracle;
@@ -69,7 +68,6 @@ pub use crate::expr::{BinOp, Expr};
 pub use crate::fastmap::Fnv64;
 pub use crate::history::{History, OpId};
 pub use crate::json::JsonBuf;
-pub use crate::metrics::{Counter, Histogram, HistogramSnapshot};
 pub use crate::op::{Cmd, LValue, Op};
 pub use crate::oracle::{Oracle, OracleStats};
 pub use crate::query::{Query, QueryAnswer, QueryOutcome};

@@ -44,14 +44,14 @@
 //! - [`Engine::Interpreted`] never compiles, and neither does
 //!   [`Engine::Auto`] on ≥ 2³² − 1 states (packed `u64` pair keys no
 //!   longer fit). Every search then runs on the interpreted reference
-//!   engine and [`OracleStats::compiles`] stays 0. Pinning a compiled
-//!   engine on such a system is an error.
-//! - [`Engine::CompiledDense`] and [`Engine::CompiledSparse`] get the
-//!   layout they name.
-//! - [`Engine::Auto`] picks lazy sparse rows when the φ the Oracle was
-//!   built for has a thin satisfying set (|Sat(φ)| · 16 < |Σ|), dense
-//!   tables when |Σ| · max(|Δ|, 1) fits
+//!   engine and [`OracleStats::compiles`] stays 0.
+//! - Otherwise [`Engine::Auto`] picks lazy sparse rows when the φ the
+//!   Oracle was built for has a thin satisfying set
+//!   (|Sat(φ)| · 16 < |Σ|), dense tables when |Σ| · max(|Δ|, 1) fits
 //!   [`CompileBudget::max_dense_entries`], and sparse rows otherwise.
+//!   The budget is the one layout knob: `max_dense_entries: 0` gives
+//!   sparse rows on any system, and `max_dense_pair_bits: 0` a hashed
+//!   visited set in every search.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -63,7 +63,7 @@ use crate::compiled::{CompileBudget, CompiledSystem, Engine, Rows, TableKind};
 use crate::cone::{self, Cones};
 use crate::constraint::{Phi, StateSet};
 use crate::depend::{self, SatPartition};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::reach::{
     self, compiled_search, interpreted_search, DependsWitness, SearchBuffers, SearchLimits,
 };
@@ -93,25 +93,16 @@ pub(crate) fn choose_tables(
     ops: usize,
     sat_hint: Option<u64>,
     budget: &CompileBudget,
-) -> Result<Option<TableKind>> {
-    if states >= MAX_COMPILED_STATES {
-        return match engine {
-            Engine::Interpreted | Engine::Auto => Ok(None),
-            Engine::CompiledDense | Engine::CompiledSparse => Err(Error::Invalid(format!(
-                "state space of {states} states exceeds the compiled pair-key range"
-            ))),
-        };
+) -> Option<TableKind> {
+    if engine == Engine::Interpreted || states >= MAX_COMPILED_STATES {
+        return None;
     }
     let thin = |sat: u64| sat.saturating_mul(AUTO_SPARSE_SAT_RATIO) < states;
-    Ok(match engine {
-        Engine::Interpreted => None,
-        Engine::CompiledDense => Some(TableKind::Dense),
-        Engine::CompiledSparse => Some(TableKind::Sparse),
-        Engine::Auto if sat_hint.is_some_and(thin) => Some(TableKind::Sparse),
-        Engine::Auto if states.saturating_mul(ops.max(1) as u64) <= budget.max_dense_entries => {
-            Some(TableKind::Dense)
-        }
-        Engine::Auto => Some(TableKind::Sparse),
+    let fits = states.saturating_mul(ops.max(1) as u64) <= budget.max_dense_entries;
+    Some(if sat_hint.is_some_and(thin) || !fits {
+        TableKind::Sparse
+    } else {
+        TableKind::Dense
     })
 }
 
@@ -283,7 +274,7 @@ impl<'s> Oracle<'s> {
         sink: Option<Arc<dyn Sink>>,
     ) -> Result<Oracle<'s>> {
         let (ns, ops) = (sys.state_count()?, sys.num_ops());
-        let compiled = match choose_tables(engine, ns, ops, sat_hint, budget)? {
+        let compiled = match choose_tables(engine, ns, ops, sat_hint, budget) {
             None => None,
             Some(kind) => {
                 if let Some(s) = &sink {
@@ -351,12 +342,17 @@ impl<'s> Oracle<'s> {
     /// The interned `Sat(φ)` enumeration (ascending state codes),
     /// computing and caching it on first use.
     pub fn sat_codes(&self, phi: &Phi) -> Result<Arc<Vec<u64>>> {
-        self.sat_codes_at(phi, self.sink_ref())
+        Ok(self.sat_codes_at(phi, self.sink_ref())?.0)
     }
 
     /// [`Oracle::sat_codes`] reporting hit/miss events to an explicit
-    /// sink (a per-query sink overriding the Oracle's own).
-    pub(crate) fn sat_codes_at(&self, phi: &Phi, sink: Option<&dyn Sink>) -> Result<Arc<Vec<u64>>> {
+    /// sink (a per-query sink overriding the Oracle's own), and whether
+    /// the enumeration was already interned.
+    pub(crate) fn sat_codes_at(
+        &self,
+        phi: &Phi,
+        sink: Option<&dyn Sink>,
+    ) -> Result<(Arc<Vec<u64>>, bool)> {
         let (hash, hit) = {
             let cache = self.sat_cache.lock().expect("sat cache lock");
             let hash = cache.hash(phi);
@@ -368,7 +364,7 @@ impl<'s> Oracle<'s> {
                     states: codes.len() as u64,
                 });
             }
-            return Ok(codes);
+            return Ok((codes, true));
         }
         // Enumerate outside the lock; on a race the first entry wins so
         // every caller shares one allocation.
@@ -378,11 +374,12 @@ impl<'s> Oracle<'s> {
                 states: codes.len() as u64,
             });
         }
-        Ok(self
+        let codes = self
             .sat_cache
             .lock()
             .expect("sat cache lock")
-            .insert(hash, phi, codes))
+            .insert(hash, phi, codes);
+        Ok((codes, false))
     }
 
     /// `Sat(φ)` as a state set, built from the interned enumeration.
@@ -499,8 +496,8 @@ impl<'s> Oracle<'s> {
         Ok((out, report))
     }
 
-    /// One sinks row per source set, sharing the interned Sat(φ)
-    /// enumeration. Rows run in order on the calling thread, each
+    /// One sinks row per source set, sharing one Sat(φ) enumeration
+    /// (`codes`). Rows run in order on the calling thread, each
     /// borrowing buffers from the pool; a row's search splits its own
     /// large levels across threads. The first error, in row order, ends
     /// the matrix. The report sums the rows' counts and keeps the deepest
@@ -509,16 +506,15 @@ impl<'s> Oracle<'s> {
     /// deadline is shared, so the whole matrix respects it.
     pub(crate) fn sinks_matrix(
         &self,
-        phi: &Phi,
+        codes: &[u64],
         sources: &[ObjSet],
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
     ) -> Result<(Vec<ObjSet>, QueryReport)> {
-        let codes = self.sat_codes_at(phi, sink)?;
         let mut total = QueryReport::empty(cone::ENGINE);
         let mut rows = Vec::with_capacity(sources.len());
         for src in sources {
-            let (set, report) = self.sinks(&codes, src, limits, sink)?;
+            let (set, report) = self.sinks(codes, src, limits, sink)?;
             if report.engine != cone::ENGINE {
                 total.engine = report.engine;
             }
@@ -617,11 +613,11 @@ mod tests {
     }
 
     /// Every row of the table policy, with |Σ| at and beyond the
-    /// compiled pair-key range for `Auto` and both pinned engines. The
-    /// inputs are plain numbers: no system that large is built.
+    /// compiled pair-key range. The inputs are plain numbers: no system
+    /// that large is built.
     #[test]
     fn table_policy_covers_every_rule() {
-        use Engine::{Auto, CompiledDense, CompiledSparse, Interpreted};
+        use Engine::{Auto, Interpreted};
         use TableKind::{Dense, Sparse};
         let default = CompileBudget::default();
         let zero = CompileBudget {
@@ -642,18 +638,13 @@ mod tests {
             CompileBudget,
             Option<TableKind>,
         );
-        let rows: [Row; 17] = [
+        let rows: [Row; 14] = [
             // Interpreted: never any tables.
             (Interpreted, 8, 2, None, default, None),
             (Interpreted, 1 << 40, 2, Some(1), default, None),
             // Auto beyond the pair-key range: interpret, whatever φ is.
             (Auto, LIMIT, 3, None, default, None),
             (Auto, 1 << 32, 3, Some(1), default, None),
-            // Pinned engines get the layout they name, whatever the
-            // budget or φ.
-            (CompiledDense, 8, 2, Some(0), zero, Some(Dense)),
-            (CompiledSparse, 8, 2, None, default, Some(Sparse)),
-            (CompiledSparse, BIG, 2, None, default, Some(Sparse)),
             // Auto with a thin Sat(φ): |Sat| · 16 < |Σ| ⇒ sparse.
             (Auto, 1024, 4, Some(63), default, Some(Sparse)),
             (Auto, 1024, 4, Some(64), default, Some(Dense)),
@@ -668,20 +659,11 @@ mod tests {
             (Auto, 8, 2, None, default, Some(Dense)),
         ];
         for (engine, states, ops, sat, budget, want) in rows {
-            let got = choose_tables(engine, states, ops, sat, &budget).unwrap();
+            let got = choose_tables(engine, states, ops, sat, &budget);
             assert_eq!(
                 got, want,
                 "{engine:?} on {states} states, {ops} ops, sat {sat:?}"
             );
-        }
-        // Pinned compiled engines beyond the pair-key range are refused.
-        for engine in [CompiledDense, CompiledSparse] {
-            for states in [LIMIT, 1 << 32, 1 << 40] {
-                let err = choose_tables(engine, states, 3, None, &default).unwrap_err();
-                let want =
-                    format!("state space of {states} states exceeds the compiled pair-key range");
-                assert!(matches!(&err, Error::Invalid(m) if *m == want), "{err}");
-            }
         }
     }
 
@@ -730,11 +712,22 @@ mod tests {
             .collect()
     }
 
-    /// Verdict, witness and materialised-row count of one query.
+    /// A budget under which no dense table fits, so every Oracle built
+    /// with it keeps sparse rows.
+    fn sparse_budget() -> CompileBudget {
+        CompileBudget {
+            max_dense_entries: 0,
+            ..CompileBudget::default()
+        }
+    }
+
+    /// Verdict, witness and materialised-row count of one query on a
+    /// sparse Oracle.
     type Answer = (Option<(crate::History, crate::State, crate::State)>, u64);
 
     fn answer(q: &Query, oracle: &Oracle) -> Answer {
         let out = q.run(oracle).unwrap();
+        assert_eq!(out.report.engine, "compiled-sparse");
         let rows = out.report.rows_materialized;
         let w = out.into_witness().map(|w| (w.history, w.sigma1, w.sigma2));
         (w, rows)
@@ -743,16 +736,16 @@ mod tests {
     #[test]
     fn concurrent_searches_materialise_each_row_once() {
         let sys = examples::pointer_chain_system(3, 2).unwrap();
-        let budget = CompileBudget::default();
+        let budget = sparse_budget();
         let queries = chain_queries(&sys);
-        let fresh = Oracle::with_engine(&sys, Engine::CompiledSparse, &budget).unwrap();
+        let fresh = Oracle::with_engine(&sys, Engine::Auto, &budget).unwrap();
         let sequential: Vec<Answer> = queries.iter().map(|q| answer(q, &fresh)).collect();
         let sequential_rows: u64 = sequential.iter().map(|a| a.1).sum();
         assert!(sequential_rows > 0);
 
         // Eight threads released together, each taking every eighth query.
         const THREADS: usize = 8;
-        let shared = Oracle::with_engine(&sys, Engine::CompiledSparse, &budget).unwrap();
+        let shared = Oracle::with_engine(&sys, Engine::Auto, &budget).unwrap();
         let barrier = std::sync::Barrier::new(THREADS);
         let mut concurrent: Vec<Option<Answer>> = vec![None; queries.len()];
         std::thread::scope(|scope| {
@@ -791,12 +784,12 @@ mod tests {
         // φ = tt is invariant, so the invariance sweep touches every state
         // a later search can reach.
         let sys = examples::pointer_chain_system(3, 2).unwrap();
-        let oracle =
-            Oracle::with_engine(&sys, Engine::CompiledSparse, &CompileBudget::default()).unwrap();
+        let oracle = Oracle::with_engine(&sys, Engine::Auto, &sparse_budget()).unwrap();
         assert!(crate::classify::is_invariant_with(&oracle, &Phi::True).unwrap());
         let mut reused = 0;
         for q in chain_queries(&sys) {
             let report = q.run(&oracle).unwrap().report;
+            assert_eq!(report.engine, "compiled-sparse");
             assert_eq!(report.rows_materialized, 0);
             reused += report.rows_reused;
         }

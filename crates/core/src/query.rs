@@ -7,9 +7,9 @@
 //! public way to ask: it runs either one-shot ([`Query::run_on`] —
 //! builds a short-lived [`Oracle`] per call) or against a shared
 //! [`Oracle`] ([`Query::run`] — compile once, query many times). A query
-//! only asks; the Oracle decides how: to pin an engine or a compile
-//! budget, build the Oracle with [`Oracle::with_engine`] and call
-//! [`Query::run`]. Both return a [`QueryOutcome`]: the answer and the
+//! only asks; the Oracle decides how: to run the interpreted engine or
+//! change the compile budget (which picks the table layout), build the
+//! Oracle with [`Oracle::with_engine`] and call [`Query::run`]. Both return a [`QueryOutcome`]: the answer and the
 //! per-query [`QueryReport`] cost accounting, the one record of what the
 //! search did.
 //!
@@ -356,20 +356,27 @@ impl Query {
 
     /// The shared execution core. `fresh` is true when `oracle` was
     /// built by this very run (one-shot), which determines the report's
-    /// cache attribution.
+    /// cache attribution: a one-shot run never counts as a partition-cache
+    /// hit.
     ///
-    /// Sat(φ) is interned first, so φ's errors and the interned-φ count
+    /// A bounded query on a target other than β is refused first. Then
+    /// Sat(φ) is interned, once, so φ's errors and the interned-φ count
     /// never depend on the target. Then, before any `=A=` partition is
     /// built, the Oracle's cones of influence ([`crate::cone`]) answer
     /// "no flow" for a β (or any b ∈ B) whose cone misses A, reported
     /// with a zeroed `"cone"` engine report.
     fn run_with(&self, oracle: &Oracle<'_>, fresh: bool) -> Result<QueryOutcome> {
+        if self.bound.is_some() && !matches!(self.target, Target::Beta(_)) {
+            return Err(Error::Invalid(
+                "bounded queries require a single-object β target".into(),
+            ));
+        }
         let sink = self.sink.as_deref().or_else(|| oracle.sink_ref());
-        let partition_cached = !fresh && oracle.phi_interned(&self.phi);
         let fresh_compile = fresh && oracle.stats().compiles > 0;
         let u = oracle.system().universe();
         let no_flow = || (QueryAnswer::Depends(None), QueryReport::empty(cone::ENGINE));
         let start = Instant::now();
+        let (codes, interned) = oracle.sat_codes_at(&self.phi, sink)?;
         let (answer, mut report) = match &self.target {
             Target::Beta(beta) => {
                 // Levels beyond any u32 depth cannot exist: the node
@@ -377,7 +384,6 @@ impl Query {
                 let max_depth = self
                     .bound
                     .map_or(u32::MAX, |k| u32::try_from(k).unwrap_or(u32::MAX));
-                let codes = oracle.sat_codes_at(&self.phi, sink)?;
                 if oracle.cone_excludes(&self.a, *beta) {
                     no_flow()
                 } else {
@@ -387,13 +393,7 @@ impl Query {
                     (QueryAnswer::Depends(witness), report)
                 }
             }
-            _ if self.bound.is_some() => {
-                return Err(Error::Invalid(
-                    "bounded queries require a single-object β target".into(),
-                ))
-            }
             Target::Set(b) => {
-                let codes = oracle.sat_codes_at(&self.phi, sink)?;
                 if b.iter().any(|obj| oracle.cone_excludes(&self.a, obj)) {
                     no_flow()
                 } else {
@@ -412,17 +412,16 @@ impl Query {
                 }
             }
             Target::Sinks => {
-                let codes = oracle.sat_codes_at(&self.phi, sink)?;
                 let (set, report) = oracle.sinks(&codes, &self.a, &self.limits, sink)?;
                 (QueryAnswer::Sinks(set), report)
             }
             Target::Matrix(sources) => {
-                let (rows, report) = oracle.sinks_matrix(&self.phi, sources, &self.limits, sink)?;
+                let (rows, report) = oracle.sinks_matrix(&codes, sources, &self.limits, sink)?;
                 (QueryAnswer::Matrix(rows), report)
             }
         };
         report.wall_ns = start.elapsed().as_nanos() as u64;
-        report.partition_cached = partition_cached;
+        report.partition_cached = !fresh && interned;
         report.fresh_compile = fresh_compile;
         if let Some(s) = sink {
             s.record(&QueryEvent::QueryDone { report });

@@ -293,8 +293,8 @@ pub(crate) fn interpreted_search(
 /// plus the BFS-tree edge that reached it.
 #[derive(Clone, Copy)]
 struct Node {
-    /// Packed canonical pair `a · |Σ| + b` (`a ≤ b`), or [`POISON`] for a
-    /// pending expansion error.
+    /// Packed canonical pair `a · |Σ| + b` (`a ≤ b`), or
+    /// [`DEFERRED_ERROR`] for a pending expansion error.
     key: u64,
     /// Index of the predecessor node, or [`NO_PARENT`] for roots.
     parent: u32,
@@ -303,6 +303,10 @@ struct Node {
 }
 
 const NO_PARENT: u32 = u32::MAX;
+
+/// Key of a candidate whose operation errors on a side of its parent
+/// pair. No pair key equals it: pair keys are below |Σ|² < (2³² − 1)².
+const DEFERRED_ERROR: u64 = u64::MAX;
 
 /// A set of `u64` keys below a known bound: a flat bitmap when the
 /// bound fits [`CompileBudget::max_dense_pair_bits`], an open-addressed
@@ -561,19 +565,18 @@ pub(crate) fn compiled_search(
                     // operation.
                     let r1 = rows_ref.row(c1);
                     let r2 = rows_ref.row(c2);
-                    for op in 0..num_ops {
-                        let n1 = r1.succ(op);
-                        let n2 = r2.succ(op);
+                    for (op, (&n1, &n2)) in r1.iter().zip(r2).enumerate() {
                         if n1 == POISON || n2 == POISON {
                             // Defer the error so it surfaces in deterministic
                             // merge order.
                             out.push(Node {
-                                key: POISON,
+                                key: DEFERRED_ERROR,
                                 parent: idx,
                                 op: op as u32,
                             });
                             continue;
                         }
+                        let (n1, n2) = (u64::from(n1), u64::from(n2));
                         if n1 == c1 && n2 == c2 {
                             // The op moved neither side, so the candidate is
                             // this very pair — already discovered. Skipping
@@ -614,7 +617,7 @@ pub(crate) fn compiled_search(
             // Sequential merge in frontier order: discovery order — and
             // hence witnesses — match the interpreted FIFO exactly.
             for cand in candidates.into_iter().flatten() {
-                if cand.key == POISON {
+                if cand.key == DEFERRED_ERROR {
                     // The first poisoned side's error, as the interpreter
                     // would report it.
                     let pkey = nodes[cand.parent as usize].key;
@@ -664,22 +667,48 @@ mod tests {
     use crate::universe::{Domain, ObjSet, Universe};
     use std::sync::Arc;
 
-    const ENGINES: [Engine; 4] = [
-        Engine::Auto,
-        Engine::Interpreted,
-        Engine::CompiledDense,
-        Engine::CompiledSparse,
-    ];
+    /// How an Oracle is built: an engine, a budget, and the engine label
+    /// its searches must report.
+    type Mode = (Engine, CompileBudget, &'static str);
+
+    /// One mode per search path on the small test systems: the
+    /// interpreted reference, dense tables with a visited bitmap, dense
+    /// tables with a hashed visited set, and sparse rows.
+    fn modes() -> [Mode; 4] {
+        let dense = CompileBudget::default();
+        let hashed = CompileBudget {
+            max_dense_pair_bits: 0,
+            ..dense
+        };
+        let sparse = CompileBudget {
+            max_dense_entries: 0,
+            ..dense
+        };
+        [
+            (Engine::Interpreted, dense, "interpreted"),
+            (Engine::Auto, dense, "compiled-dense"),
+            (Engine::Auto, hashed, "compiled-dense"),
+            (Engine::Auto, sparse, "compiled-sparse"),
+        ]
+    }
 
     /// Shorthand: a β-target query on cloned inputs.
     fn q(phi: &Phi, a: &ObjSet, beta: ObjId) -> Query {
         Query::new(phi.clone(), a.clone()).beta(beta)
     }
 
-    /// Runs `query` on a fresh Oracle pinned to `engine`.
-    fn run_pinned(sys: &System, query: &Query, engine: Engine) -> QueryOutcome {
-        let oracle = Oracle::with_engine(sys, engine, &CompileBudget::default()).unwrap();
-        query.run(&oracle).unwrap()
+    /// Runs `query` on a fresh Oracle built in `mode`, and checks the
+    /// engine label: the mode's own, or `"cone"` where a dense Oracle's
+    /// cone decided without a search.
+    fn run_in(sys: &System, query: &Query, (engine, budget, label): Mode) -> QueryOutcome {
+        let oracle = Oracle::with_engine(sys, engine, &budget).unwrap();
+        let out = query.run(&oracle).unwrap();
+        let got = out.report.engine;
+        assert!(
+            got == label || (got == "cone" && label == "compiled-dense"),
+            "{engine:?} under {budget:?} reports {got}, not {label}"
+        );
+        out
     }
 
     /// §3.3 system: δ1: if flag then β ← α else β ← 0;
@@ -822,8 +851,8 @@ mod tests {
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
-        for engine in ENGINES {
-            let w = run_pinned(&sys, &q(&Phi::True, &ObjSet::singleton(a), b), engine)
+        for mode in modes() {
+            let w = run_in(&sys, &q(&Phi::True, &ObjSet::singleton(a), b), mode)
                 .into_witness()
                 .unwrap();
             assert_eq!(w.history.len(), 1, "flag=true states allow a 1-step flow");
@@ -842,22 +871,18 @@ mod tests {
                 Phi::expr(Expr::var(u.obj("flag").unwrap()).not()),
             ] {
                 let sinks = Query::new(phi.clone(), a.clone());
-                let reference = run_pinned(&sys, &q(&phi, &a, b), Engine::Interpreted)
+                let [interpreted, compiled @ ..] = modes();
+                let reference = run_in(&sys, &q(&phi, &a, b), interpreted)
                     .into_witness()
                     .map(|w| (w.history, w.sigma1, w.sigma2));
-                let ref_sinks = run_pinned(&sys, &sinks, Engine::Interpreted)
-                    .into_sinks()
-                    .unwrap();
-                for engine in [Engine::Auto, Engine::CompiledDense, Engine::CompiledSparse] {
-                    let got = run_pinned(&sys, &q(&phi, &a, b), engine)
+                let ref_sinks = run_in(&sys, &sinks, interpreted).into_sinks().unwrap();
+                for mode in compiled {
+                    let got = run_in(&sys, &q(&phi, &a, b), mode)
                         .into_witness()
                         .map(|w| (w.history, w.sigma1, w.sigma2));
-                    assert_eq!(got, reference, "depends mismatch for {src} / {engine:?}");
-                    let got_sinks = run_pinned(&sys, &sinks, engine).into_sinks().unwrap();
-                    assert_eq!(
-                        got_sinks, ref_sinks,
-                        "sinks mismatch for {src} / {engine:?}"
-                    );
+                    assert_eq!(got, reference, "depends mismatch for {src} / {mode:?}");
+                    let got_sinks = run_in(&sys, &sinks, mode).into_sinks().unwrap();
+                    assert_eq!(got_sinks, ref_sinks, "sinks mismatch for {src} / {mode:?}");
                 }
             }
         }
@@ -868,8 +893,8 @@ mod tests {
         let sys = flag_sys();
         let u = sys.universe();
         let sources: Vec<ObjSet> = u.objects().map(ObjSet::singleton).collect();
-        for engine in ENGINES {
-            let rows = run_pinned(&sys, &Query::matrix(Phi::True, sources.clone()), engine)
+        for mode in modes() {
+            let rows = run_in(&sys, &Query::matrix(Phi::True, sources.clone()), mode)
                 .into_rows()
                 .unwrap();
             for (src, row) in sources.iter().zip(&rows) {
@@ -944,14 +969,10 @@ mod tests {
         let b = u.obj("beta").unwrap();
         let budget = CompileBudget::default();
         let mut early = Vec::new();
-        for (engine, name) in [
-            (Engine::Interpreted, "interpreted"),
-            (Engine::CompiledDense, "compiled-dense"),
-            (Engine::CompiledSparse, "compiled-sparse"),
-        ] {
-            let out = run_pinned(&sys, &q(&Phi::True, &a, b), engine);
+        for mode in modes() {
+            let out = run_in(&sys, &q(&Phi::True, &a, b), mode);
             let report = out.report;
-            assert_eq!(report.engine, name);
+            assert_eq!(report.engine, mode.2);
             assert!(report.visited_pairs > 0);
             assert!(report.pair_expansions > 0);
             assert_eq!(
@@ -1067,9 +1088,9 @@ mod tests {
         .unwrap();
         let (x, y) = (u.obj("x").unwrap(), u.obj("y").unwrap());
         let sys = System::new(u, Vec::new());
-        for engine in ENGINES {
-            let out = run_pinned(&sys, &q(&Phi::True, &ObjSet::singleton(x), y), engine);
-            assert!(!out.holds(), "{engine:?}");
+        for mode in modes() {
+            let out = run_in(&sys, &q(&Phi::True, &ObjSet::singleton(x), y), mode);
+            assert!(!out.holds(), "{mode:?}");
         }
     }
 
@@ -1127,12 +1148,12 @@ mod tests {
             .and(Expr::var(b).not());
         let alpha = ObjSet::singleton(a);
         let min_seq = PAR_LEVEL_EXPANSIONS / sys.num_ops();
-        let run = |engine: Engine, flag: bool| {
+        let run = |(engine, budget, label): Mode, flag: bool| {
             let phi = Phi::expr(pinned.clone().and(Expr::var(w).eq(Expr::bool(flag))));
             let sink = Arc::new(RecordingSink::new());
-            let oracle =
-                Oracle::with_sink(&sys, engine, &CompileBudget::default(), sink.clone()).unwrap();
+            let oracle = Oracle::with_sink(&sys, engine, &budget, sink.clone()).unwrap();
             let out = q(&phi, &alpha, b).run(&oracle).unwrap();
+            assert_eq!(out.report.engine, label, "{budget:?}");
             let widest = sink
                 .events()
                 .iter()
@@ -1152,16 +1173,17 @@ mod tests {
             (witness, counts, widest)
         };
         for flag in [true, false] {
-            let (want, want_counts, _) = run(Engine::Interpreted, flag);
+            let [interpreted, compiled @ ..] = modes();
+            let (want, want_counts, _) = run(interpreted, flag);
             assert_eq!(want.is_some(), flag);
-            for engine in [Engine::CompiledDense, Engine::CompiledSparse] {
-                let (got, counts, widest) = run(engine, flag);
+            for mode in compiled {
+                let (got, counts, widest) = run(mode, flag);
                 assert!(
                     widest > min_seq,
-                    "{engine:?}: widest block has {widest} pairs"
+                    "{mode:?}: widest block has {widest} pairs"
                 );
-                assert_eq!(got, want, "{engine:?} witness, w = {flag}");
-                assert_eq!(counts, want_counts, "{engine:?} counts, w = {flag}");
+                assert_eq!(got, want, "{mode:?} witness, w = {flag}");
+                assert_eq!(counts, want_counts, "{mode:?} counts, w = {flag}");
             }
         }
     }

@@ -20,37 +20,59 @@ const BUDGET: CompileBudget = CompileBudget {
     max_dense_pair_bits: 1 << 28,
 };
 
-/// How a test runs a query: `Some(engine)` on a fresh Oracle pinned to
-/// that engine under the shared test budget, `None` one-shot through
-/// [`Query::run_on`] (the φ-tuned `Engine::Auto` Oracle).
-type Mode = Option<Engine>;
+/// [`BUDGET`] with a hashed visited set in every search.
+const HASHED: CompileBudget = CompileBudget {
+    max_dense_pair_bits: 0,
+    ..BUDGET
+};
 
-const INTERPRETED: Mode = Some(Engine::Interpreted);
+/// [`BUDGET`] with no room for a dense table: sparse rows on any system.
+const SPARSE: CompileBudget = CompileBudget {
+    max_dense_entries: 0,
+    ..BUDGET
+};
+
+/// How a test runs a query: `Some((engine, budget, label))` on a fresh
+/// Oracle built with that engine and budget, whose searches must report
+/// the engine label given; `None` one-shot through [`Query::run_on`] (the
+/// φ-tuned `Engine::Auto` Oracle). Every corpus system has dense tables
+/// under [`BUDGET`].
+type Mode = Option<(Engine, CompileBudget, &'static str)>;
+
+const INTERPRETED: Mode = Some((Engine::Interpreted, BUDGET, "interpreted"));
 
 const COMPILED: [Mode; 4] = [
     None,
-    Some(Engine::Auto),
-    Some(Engine::CompiledDense),
-    Some(Engine::CompiledSparse),
+    Some((Engine::Auto, BUDGET, "compiled-dense")),
+    Some((Engine::Auto, HASHED, "compiled-dense")),
+    Some((Engine::Auto, SPARSE, "compiled-sparse")),
 ];
 
 const ENGINES: [Mode; 5] = [
     INTERPRETED,
-    None,
-    Some(Engine::Auto),
-    Some(Engine::CompiledDense),
-    Some(Engine::CompiledSparse),
+    COMPILED[0],
+    COMPILED[1],
+    COMPILED[2],
+    COMPILED[3],
 ];
 
-/// Runs `q` in `mode`.
+/// Runs `q` in `mode`, checking the engine label of an Oracle run: the
+/// mode's own, or `"cone"` where a dense Oracle's cone decided without a
+/// search.
 fn run(sys: &System, q: &Query, mode: Mode) -> QueryOutcome {
-    match mode {
-        Some(engine) => run_with(sys, q, engine, &BUDGET),
-        None => q.run_on(sys).unwrap(),
-    }
+    let Some((engine, budget, label)) = mode else {
+        return q.run_on(sys).unwrap();
+    };
+    let out = run_with(sys, q, engine, &budget);
+    let got = out.report.engine;
+    assert!(
+        got == label || (got == "cone" && label == "compiled-dense"),
+        "{engine:?} under {budget:?} reports {got}, not {label}"
+    );
+    out
 }
 
-/// Runs `q` on a fresh Oracle pinned to `engine` under `budget`.
+/// Runs `q` on a fresh Oracle built with `engine` and `budget`.
 fn run_with(sys: &System, q: &Query, engine: Engine, budget: &CompileBudget) -> QueryOutcome {
     q.run(&Oracle::with_engine(sys, engine, budget).unwrap())
         .unwrap()
@@ -392,15 +414,6 @@ fn root_to_root_steps_match_the_interpreted_engine() {
     ];
     let sys = System::new(u, ops);
     sys.validate().unwrap();
-    let hashed = CompileBudget {
-        max_dense_pair_bits: 0,
-        ..BUDGET
-    };
-    let runs = [
-        (Engine::CompiledDense, BUDGET),
-        (Engine::CompiledDense, hashed),
-        (Engine::CompiledSparse, BUDGET),
-    ];
     let a_only = ObjSet::singleton(a);
     let x_is_0 = Phi::expr(Expr::var(x).eq(Expr::int(0)));
     let queries = [
@@ -410,12 +423,12 @@ fn root_to_root_steps_match_the_interpreted_engine() {
         Query::new(x_is_0, a_only.clone()),
     ];
     for (i, q) in queries.iter().enumerate() {
-        let reference = run_with(&sys, q, Engine::Interpreted, &BUDGET);
+        let reference = run(&sys, q, INTERPRETED);
         assert!(reference.report.visited_pairs > 0);
-        for (engine, budget) in &runs {
-            let got = run_with(&sys, q, *engine, budget);
+        for (engine, budget, label) in COMPILED.into_iter().flatten() {
+            let got = run_with(&sys, q, engine, &budget);
             let what = format!("query {i}, {engine:?}, {budget:?}");
-            assert_eq!(got.report.engine, engine_name(*engine), "{what}");
+            assert_eq!(got.report.engine, label, "{what}");
             assert_eq!(counts(&got.report), counts(&reference.report), "{what}");
             assert_eq!(
                 witness_fields(got.clone().into_witness()),
@@ -428,11 +441,4 @@ fn root_to_root_steps_match_the_interpreted_engine() {
     // The flow queries do flow, and a ▷ c does not.
     assert!(run(&sys, &queries[0], INTERPRETED).holds());
     assert!(!run(&sys, &queries[2], INTERPRETED).holds());
-}
-
-fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::CompiledSparse => "compiled-sparse",
-        _ => "compiled-dense",
-    }
 }

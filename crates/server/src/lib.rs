@@ -25,7 +25,8 @@
 //! - [`metrics`] — server observability: per-method/per-outcome request
 //!   counters, cold/warm latency histograms, six-phase request traces,
 //!   rolled-up query-cost counters, the slow-query ring, and the
-//!   Prometheus/JSON scrape renderers;
+//!   Prometheus/JSON scrape renderers, built on the sharded counters and
+//!   log-scale histograms of [`primitives`];
 //! - [`server`] — the TCP daemon: a thread per connection that runs its
 //!   own queries behind one bounded admission gate, per-request
 //!   deadlines/budgets, graceful draining shutdown, JSON-lines access
@@ -40,6 +41,7 @@ pub mod cache;
 pub mod client;
 pub mod engine;
 pub mod metrics;
+pub mod primitives;
 pub mod proto;
 pub mod registry;
 pub mod server;

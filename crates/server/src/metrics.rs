@@ -17,7 +17,7 @@
 //!   up into server-level counters while still forwarding to any
 //!   user-configured sink (`--telemetry`).
 //!
-//! All hot-path state is lock-free ([`sd_core::metrics`]): sharded
+//! All hot-path state is lock-free ([`crate::primitives`]): sharded
 //! counters and fixed-bucket log-scale histograms, no floats, no locks
 //! on the request path. Quantiles (p50/p90/p95/p99) and gauges
 //! (uptime, in-flight, queue depth, slot utilization) are derived at
@@ -33,9 +33,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime};
 
-use sd_core::{Counter, Histogram, HistogramSnapshot, JsonBuf, QueryEvent, QueryReport, Sink};
+use sd_core::{JsonBuf, QueryEvent, QueryReport, Sink};
 
 use crate::cache::CacheStats;
+use crate::primitives::{Counter, Histogram, HistogramSnapshot};
 use crate::proto::ErrorKind;
 
 /// Protocol methods: the wire `method` field and the metric label
@@ -536,7 +537,7 @@ impl ServerMetrics {
     }
 
     /// Duration snapshot for `(method, cold)`.
-    pub fn duration_snapshot(&self, method: Method, cold: bool) -> sd_core::HistogramSnapshot {
+    pub fn duration_snapshot(&self, method: Method, cold: bool) -> HistogramSnapshot {
         self.durations[method.idx()][usize::from(cold)].snapshot()
     }
 

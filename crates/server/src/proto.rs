@@ -329,6 +329,36 @@ fn str_list(v: &Json, field: &str) -> Result<Vec<String>, WireError> {
         .collect()
 }
 
+/// Reads optional field `field` of object `v` with `read`: absent or
+/// `null` gives `None`, a value `read` rejects the protocol error
+/// "field `field` must be {what}".
+fn opt_field<'a, T>(
+    v: &'a Json,
+    field: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, WireError> {
+    match v.get(field) {
+        None | Some(Json::Null) => Ok(None),
+        Some(x) => read(x).map(Some).ok_or_else(|| {
+            WireError::new(
+                ErrorKind::Protocol,
+                format!("field `{field}` must be {what}"),
+            )
+        }),
+    }
+}
+
+/// An optional unsigned integer field (see [`opt_field`]).
+fn opt_u64(v: &Json, field: &str) -> Result<Option<u64>, WireError> {
+    opt_field(v, field, "an unsigned integer", Json::as_u64)
+}
+
+/// An optional string field (see [`opt_field`]).
+fn opt_string(v: &Json, field: &str) -> Result<Option<String>, WireError> {
+    opt_field(v, field, "a string", |x| x.as_str().map(str::to_string))
+}
+
 /// Parses one request line into a [`Frame`].
 pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
     if line.len() > MAX_FRAME {
@@ -344,15 +374,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
             "request must be a JSON object",
         ));
     }
-    let id = match v.get("id") {
-        None | Some(Json::Null) => None,
-        Some(idv) => Some(idv.as_u64().ok_or_else(|| {
-            WireError::new(
-                ErrorKind::Protocol,
-                "field `id` must be an unsigned integer",
-            )
-        })?),
-    };
+    let id = opt_u64(&v, "id")?;
     let name = v
         .get("method")
         .and_then(Json::as_str)
@@ -376,18 +398,9 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
             };
             Request::Metrics { prom }
         }
-        Some(Method::SlowLog) => {
-            let limit = match v.get("limit") {
-                None | Some(Json::Null) => None,
-                Some(l) => Some(l.as_u64().ok_or_else(|| {
-                    WireError::new(
-                        ErrorKind::Protocol,
-                        "field `limit` must be an unsigned integer",
-                    )
-                })?),
-            };
-            Request::SlowLog { limit }
-        }
+        Some(Method::SlowLog) => Request::SlowLog {
+            limit: opt_u64(&v, "limit")?,
+        },
         Some(Method::Register) => {
             let desc = match (v.get("example"), v.get("program")) {
                 (Some(name), None) => {
@@ -449,30 +462,12 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
                 Method::Sinks => QueryKind::Sinks,
                 _ => QueryKind::SinksMatrix,
             };
-            let phi = match v.get("phi") {
-                None | Some(Json::Null) => None,
-                Some(p) => Some(
-                    p.as_str()
-                        .ok_or_else(|| {
-                            WireError::new(ErrorKind::Protocol, "field `phi` must be a string")
-                        })?
-                        .to_string(),
-                ),
-            };
+            let phi = opt_string(&v, "phi")?;
             let a = match v.get("a") {
                 None => Vec::new(),
                 Some(av) => str_list(av, "a")?,
             };
-            let beta = match v.get("beta") {
-                None | Some(Json::Null) => None,
-                Some(b) => Some(
-                    b.as_str()
-                        .ok_or_else(|| {
-                            WireError::new(ErrorKind::Protocol, "field `beta` must be a string")
-                        })?
-                        .to_string(),
-                ),
-            };
+            let beta = opt_string(&v, "beta")?;
             let set = match v.get("set") {
                 None => Vec::new(),
                 Some(sv) => str_list(sv, "set")?,
@@ -491,33 +486,6 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
                     .map(|row| str_list(row, "sources"))
                     .collect::<Result<Vec<Vec<String>>, WireError>>()?,
             };
-            let bound = match v.get("bound") {
-                None | Some(Json::Null) => None,
-                Some(b) => Some(b.as_u64().ok_or_else(|| {
-                    WireError::new(
-                        ErrorKind::Protocol,
-                        "field `bound` must be an unsigned integer",
-                    )
-                })? as usize),
-            };
-            let timeout_ms = match v.get("timeout_ms") {
-                None | Some(Json::Null) => None,
-                Some(t) => Some(t.as_u64().ok_or_else(|| {
-                    WireError::new(
-                        ErrorKind::Protocol,
-                        "field `timeout_ms` must be an unsigned integer",
-                    )
-                })?),
-            };
-            let max_pairs = match v.get("max_pairs") {
-                None | Some(Json::Null) => None,
-                Some(m) => Some(m.as_u64().ok_or_else(|| {
-                    WireError::new(
-                        ErrorKind::Protocol,
-                        "field `max_pairs` must be an unsigned integer",
-                    )
-                })?),
-            };
             Request::Query(QueryReq {
                 system,
                 kind,
@@ -526,9 +494,9 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
                 beta,
                 set,
                 sources,
-                bound,
-                timeout_ms,
-                max_pairs,
+                bound: opt_u64(&v, "bound")?.map(|b| b as usize),
+                timeout_ms: opt_u64(&v, "timeout_ms")?,
+                max_pairs: opt_u64(&v, "max_pairs")?,
             })
         }
         None | Some(Method::Unknown) => {

@@ -90,8 +90,6 @@ pub struct Config {
     /// Cap — and default — for per-request deadlines, and how long a
     /// reply write may block before the connection is dropped.
     pub max_timeout: Duration,
-    /// Compile budget for registered systems.
-    pub budget: CompileBudget,
     /// Telemetry sink observing compiles, searches and cache events.
     pub sink: Option<Arc<dyn Sink>>,
     /// JSON-lines access log (one line per request).
@@ -118,7 +116,6 @@ impl Default for Config {
             cache_cap: 1024,
             max_frame: MAX_FRAME,
             max_timeout: Duration::from_secs(30),
-            budget: CompileBudget::default(),
             sink: None,
             access_log: None,
             slow_ms: 100,
@@ -415,7 +412,7 @@ impl ServeHandle {
         };
         let shared = Arc::new(Shared {
             addr,
-            registry: Registry::new(cfg.registry_cap, cfg.budget, sink.clone()),
+            registry: Registry::new(cfg.registry_cap, CompileBudget::default(), sink.clone()),
             cache: ResultCache::new(cfg.cache_cap),
             sink,
             metrics,

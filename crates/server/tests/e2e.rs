@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sd_core::{examples, CompileBudget, ObjSet, Query, QueryEvent, RecordingSink};
+use sd_core::{examples, ObjSet, Query, QueryEvent, RecordingSink};
 use sd_server::proto;
 use sd_server::{Client, Config, ErrorKind, QueryReq, ServeHandle, SystemDesc};
 
@@ -21,7 +21,6 @@ fn spawn(sink: Option<Arc<RecordingSink>>) -> ServeHandle {
         cache_cap: 64,
         max_frame: 4096,
         max_timeout: Duration::from_secs(10),
-        budget: CompileBudget::default(),
         sink: sink.map(|s| s as Arc<dyn sd_core::Sink>),
         access_log: None,
         ..Config::default()

@@ -6,7 +6,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use sd_core::CompileBudget;
 use sd_server::{Client, Config, ErrorKind, Json, Method, QueryReq, ServeHandle, SystemDesc};
 
 fn spawn() -> ServeHandle {
@@ -18,7 +17,6 @@ fn spawn() -> ServeHandle {
         cache_cap: 64,
         max_frame: 4096,
         max_timeout: Duration::from_secs(10),
-        budget: CompileBudget::default(),
         sink: None,
         access_log: None,
         // Threshold 0: every request is "slow", so the ring must hold

@@ -352,15 +352,17 @@ fn native_operations_keep_the_search() {
 #[test]
 fn sparse_oracles_keep_the_search() {
     let sys = strong_dependency::core::examples::flag_copy_system(3).unwrap();
-    let oracle =
-        Oracle::with_engine(&sys, Engine::CompiledSparse, &CompileBudget::default()).unwrap();
+    // No dense table fits this budget, so the Oracle keeps sparse rows.
+    let sparse_budget = CompileBudget {
+        max_dense_entries: 0,
+        ..CompileBudget::default()
+    };
+    let oracle = Oracle::with_engine(&sys, Engine::Auto, &sparse_budget).unwrap();
     assert_eq!(assert_falls_back(&sys, &oracle), 0);
+    let [beta, x] = ["beta", "x"].map(|n| sys.universe().obj(n).unwrap());
+    let query = Query::new(Phi::True, ObjSet::singleton(beta)).beta(x);
+    assert_eq!(query.run(&oracle).unwrap().report.engine, "compiled-sparse");
     // The same system on a dense Oracle does use the cone.
     let dense = Oracle::new(&sys).unwrap();
-    let [beta, x] = ["beta", "x"].map(|n| sys.universe().obj(n).unwrap());
-    let out = Query::new(Phi::True, ObjSet::singleton(beta))
-        .beta(x)
-        .run(&dense)
-        .unwrap();
-    assert_eq!(out.report.engine, "cone");
+    assert_eq!(query.run(&dense).unwrap().report.engine, "cone");
 }
